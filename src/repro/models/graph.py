@@ -13,6 +13,7 @@ the scheduling stack uses so a layer only ever waits for its actual producers
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
@@ -68,16 +69,32 @@ class ModelGraph:
                 )
         if producer == consumer:
             raise GraphError(f"model {self.name!r}: self-edge on {producer!r}")
-        self._successors[producer].add(consumer)
-        self._predecessors[consumer].add(producer)
-        self._derived.clear()
-        if self._has_cycle():
-            self._successors[producer].discard(consumer)
-            self._predecessors[consumer].discard(producer)
-            self._derived.clear()
+        if self._reaches(consumer, producer):
             raise GraphError(
                 f"model {self.name!r}: edge ({producer!r} -> {consumer!r}) creates a cycle"
             )
+        self._successors[producer].add(consumer)
+        self._predecessors[consumer].add(producer)
+        self._derived.clear()
+
+    def _reaches(self, source: str, target: str) -> bool:
+        """Whether ``target`` is reachable from ``source`` over dependence edges.
+
+        The cycle check of :meth:`add_edge` runs this *before* mutating, so a
+        rejected edge leaves the graph untouched.  Building a chain in
+        insertion order visits only the new consumer, which has no successors
+        yet, so the check is O(1) per edge there.
+        """
+        stack = [source]
+        seen = {source}
+        while stack:
+            for successor in self._successors[stack.pop()]:
+                if successor == target:
+                    return True
+                if successor not in seen:
+                    seen.add(successor)
+                    stack.append(successor)
+        return False
 
     def chain(self) -> None:
         """Link layers in insertion order (layer i depends on layer i-1)."""
@@ -144,17 +161,17 @@ class ModelGraph:
         if cached is None:
             position = {name: index for index, name in enumerate(self._order)}
             in_degree = {name: len(self._predecessors[name]) for name in self._order}
-            ready = [name for name in self._order if in_degree[name] == 0]
+            # A min-heap of insertion positions: among ready layers the
+            # earliest-inserted always goes next.
+            ready = [position[name] for name in self._order if in_degree[name] == 0]
             result: List[str] = []
             while ready:
-                current = ready.pop(0)
+                current = self._order[heapq.heappop(ready)]
                 result.append(current)
-                for successor in sorted(self._successors[current]):
+                for successor in self._successors[current]:
                     in_degree[successor] -= 1
                     if in_degree[successor] == 0:
-                        # Preserve insertion order among newly-ready layers.
-                        ready.append(successor)
-                        ready.sort(key=position.__getitem__)
+                        heapq.heappush(ready, position[successor])
             if len(result) != len(self._order):
                 raise GraphError(f"model {self.name!r}: dependence graph contains a cycle")
             cached = tuple(result)
@@ -235,13 +252,6 @@ class ModelGraph:
             cached = derive_retirements(self.last_consumer_indices())
             self._derived["retirement_indices"] = cached
         return cached
-
-    def _has_cycle(self) -> bool:
-        try:
-            self.dependence_order()
-        except GraphError:
-            return True
-        return False
 
     @property
     def total_macs(self) -> int:

@@ -335,16 +335,10 @@ def measured_service_tables(streaming: StreamingWorkload,
         EvaluationTask(
             task_id=index,
             design=probe_chip[key],
-            workload=StreamingWorkload(
-                name=f"{streaming.name}::probe::{model}",
-                streams=[FrameTrace(model_name=model, releases_s=(0.0,),
-                                    deadline_s=deadline[model],
-                                    fps=fps[model])],
-                # Custom graphs travel with the probe; zoo models resolve
-                # by name inside the evaluator exactly as fleet chips do.
-                models={name: graph for name, graph in streaming.models.items()
-                        if name == model},
-            ),
+            workload=streaming.derive(
+                f"{streaming.name}::probe::{model}",
+                [FrameTrace(model_name=model, releases_s=(0.0,),
+                            deadline_s=deadline[model], fps=fps[model])]),
             category="fleet-probe")
         for index, (key, model) in enumerate(probes)
     ]

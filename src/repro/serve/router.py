@@ -516,17 +516,8 @@ def _build_chip_workloads(streaming: StreamingWorkload,
                     fps=stream.fps,
                 ))
         if streams:
-            # Only the graphs this chip's streams reference: per-chip
-            # workloads travel to pool workers as task pickles, and an
-            # unreferenced model graph is dead weight there (zoo models
-            # resolve by name in the worker anyway).
-            served = {stream.model_name for stream in streams}
-            workloads.append(StreamingWorkload(
-                name=f"{streaming.name}@chip{chip_index}",
-                streams=streams,
-                models={name: graph for name, graph in streaming.models.items()
-                        if name in served},
-            ))
+            workloads.append(streaming.derive(
+                f"{streaming.name}@chip{chip_index}", streams))
         else:
             workloads.append(None)
         frame_maps.append(frame_map)

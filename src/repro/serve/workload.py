@@ -117,13 +117,41 @@ class StreamingWorkload:
         deadline maps line up with the expanded instances by construction.
         """
         if self._spec_memo is None:
-            self._spec_memo = WorkloadSpec(
-                name=self.name,
-                entries=[(stream.model_name, stream.frames)
-                         for stream in self.streams],
-                models=dict(self.models),
-            )
+            self._spec_memo = self._expansion(dict(self.models))
         return self._spec_memo
+
+    def _expansion(self, models: Dict[str, ModelGraph]) -> WorkloadSpec:
+        return WorkloadSpec(
+            name=self.name,
+            entries=[(stream.model_name, stream.frames)
+                     for stream in self.streams],
+            models=models,
+        )
+
+    def derive(self, name: str,
+               streams: List[StreamSpec]) -> "StreamingWorkload":
+        """A sub-workload serving ``streams``, whose models this workload serves.
+
+        The router's per-chip workloads and the closed loop's single-frame
+        probes are built here.  The child's public :attr:`models` keeps only
+        the *custom* graphs its streams reference: sub-workloads travel to
+        pool workers as task pickles, where an unreferenced graph is dead
+        weight and zoo models resolve by name anyway.  In this process the
+        child's expansion is seeded with this workload's already-resolved
+        graphs (the same objects, memoised dependence orders and index sets
+        included), so deriving never rebuilds a zoo model.  That seed is the
+        expansion memo, which pickles drop, so task pickles stay as small as
+        the public fields make them.
+        """
+        parent = self.to_workload_spec()
+        graphs = {stream.model_name: parent.model_graph(stream.model_name)
+                  for stream in streams}
+        child = StreamingWorkload(
+            name=name, streams=streams,
+            models={model: graph for model, graph in self.models.items()
+                    if model in graphs})
+        child._spec_memo = child._expansion(graphs)
+        return child
 
     def release_times_s(self) -> Dict[str, float]:
         """Release time of every frame instance, in seconds, keyed by instance id."""

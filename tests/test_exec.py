@@ -212,7 +212,8 @@ class TestPersistentCostCache:
         path = str(tmp_path / "cache.json")
         backend = SerialBackend(cache=PersistentCostCache(path))
         backend.run([EvaluationTask(0, make_fda(tiny_chip, NVDLA), small_workload)])
-        payload = json.loads(open(path).read())
+        with open(path) as handle:
+            payload = json.loads(handle.read())
         payload["entries"][0]["cost"]["layer"]["k"] = 0
         with open(path, "w") as handle:
             json.dump(payload, handle)

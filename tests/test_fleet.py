@@ -25,10 +25,12 @@ Four contracts are pinned here:
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
 import golden_scheduler
+import repro.workloads.spec
 from repro.core.scheduler import HeraldScheduler
 from repro.exceptions import SearchError, WorkloadError
 from repro.exec import ProcessPoolBackend, SerialBackend
@@ -48,6 +50,7 @@ from repro.serve import (
     StreamingWorkload,
     min_chips_for_sla,
     policy_by_name,
+    traffic_suite,
 )
 from repro.serve.router import arrival_order
 
@@ -598,3 +601,85 @@ class TestOnlineSemantics:
                         estimator=FrameCostEstimator(fleet_cost_model))
         with pytest.raises(SearchError, match="empty fleet"):
             router.dispatch(streaming, ())
+
+
+# ---------------------------------------------------------------------------
+# Sub-workloads share the parent's resolved graphs
+# ---------------------------------------------------------------------------
+class TestResolvedGraphSharing:
+    """Per-chip workloads and probes reuse the parent's model graphs.
+
+    Once a zoo workload has been served, serving it again builds no model:
+    every sub-workload the router and the closed loop derive resolves its
+    models to the parent's graph objects.  Pickles still carry only the
+    custom graphs, so pool workers resolve zoo models by name.
+    """
+
+    def test_warm_fleet_builds_no_model_graph(self, fleet_cost_model,
+                                              monkeypatch):
+        simulator = _simulator(fleet_cost_model)
+        streaming = traffic_suite("arvr-a", "poisson", frames=2,
+                                  fps_scale=0.25, seed=3)
+        fleet = golden_scheduler.build_fleet("2homo")
+        last_release = max(streaming.release_times_s().values())
+        death = FaultSpec(failures=(ChipFailure(1, last_release / 2),))
+
+        def serve():
+            simulator.simulate(streaming, fleet, policy="least-outstanding")
+            simulator.simulate_online(streaming, fleet,
+                                      policy="least-outstanding",
+                                      faults=death)
+
+        serve()
+        builds = []
+        build_model = repro.workloads.spec.build_model
+
+        def counting_build_model(name):
+            builds.append(name)
+            return build_model(name)
+
+        derived = []
+        run = simulator.backend.run
+
+        def recording_run(tasks):
+            derived.extend(task.workload for task in tasks)
+            return run(tasks)
+
+        monkeypatch.setattr(repro.workloads.spec, "build_model",
+                            counting_build_model)
+        monkeypatch.setattr(simulator.backend, "run", recording_run)
+        serve()
+        assert builds == []
+        assert any("@chip" in workload.name for workload in derived)
+        assert any("::probe::" in workload.name for workload in derived)
+        parent = streaming.to_workload_spec()
+        for workload in derived:
+            spec = workload.to_workload_spec()
+            for stream in workload.streams:
+                model = stream.model_name
+                assert spec.model_graph(model) is parent.model_graph(model)
+
+    def test_chip_workload_pickles_only_its_custom_graphs(self,
+                                                          fleet_cost_model):
+        chainnet = golden_scheduler.build_workloads()["chain"] \
+            .model_graph("chainnet")
+        streaming = StreamingWorkload("mixed", streams=[
+            StreamSpec("chainnet", fps=5000.0, frames=3),
+            StreamSpec("mobilenet_v1", fps=10000.0, frames=3),
+        ], models={"chainnet": chainnet})
+        plan = Router("round-robin",
+                      estimator=FrameCostEstimator(fleet_cost_model)).dispatch(
+            streaming, golden_scheduler.build_fleet("2homo").chips)
+        parent = streaming.to_workload_spec()
+        for workload in plan.chip_workloads:
+            # Round-robin over the interleaved arrivals mixes both models
+            # on every chip.
+            assert [stream.model_name for stream in workload.streams] == \
+                ["chainnet", "mobilenet_v1"]
+            assert workload.models == {"chainnet": chainnet}
+            assert workload.to_workload_spec().model_graph("mobilenet_v1") \
+                is parent.model_graph("mobilenet_v1")
+            clone = pickle.loads(pickle.dumps(workload))
+            assert clone._spec_memo is None
+            assert set(clone.models) == {"chainnet"}
+            assert clone == workload

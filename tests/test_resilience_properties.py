@@ -405,7 +405,8 @@ class TestCacheJournal:
     def test_journal_lines_appended_per_entry(self, tmp_path, task_bag):
         path = str(tmp_path / "cache.json")
         cache = self._run_once(path, task_bag)
-        lines = open(cache.journal_path).read().splitlines()
+        with open(cache.journal_path) as handle:
+            lines = handle.read().splitlines()
         assert not lines, "save() must fold and truncate the journal"
         # Re-run against a cold model but without saving: entries journal.
         cache2 = PersistentCostCache(str(tmp_path / "other.json"),
@@ -414,7 +415,8 @@ class TestCacheJournal:
         cache2.attach(model)
         backend = SerialBackend(cost_model=model)
         backend.run(task_bag[:1])
-        journalled = open(cache2.journal_path).read().splitlines()
+        with open(cache2.journal_path) as handle:
+            journalled = handle.read().splitlines()
         assert len(journalled) == model.cache_size()
 
     def test_journal_replay_after_simulated_kill(self, tmp_path, task_bag):
