@@ -14,8 +14,9 @@ performance trajectory is comparable across PRs:
   through the vectorised cost core and asserts the table bitwise-identical to
   the scalar estimator (``vectorized_identical``, a ``--check`` gate; skipped
   as ``null`` on numpy-free interpreters).
-* **List-schedule scaling** — heap-based event-driven ``_list_schedule`` vs
-  the retained quadratic reference implementation at n = 50 / 200 / 800 layer
+* **List-schedule scaling** — warm ``HeraldScheduler.schedule`` (its
+  heap-based event-driven timeline) vs the quadratic full-rescan list
+  schedule of ``tests/reference_scheduler.py`` at n = 50 / 200 / 800 layer
   executions; the heap growth ratio should track O(n log n), the reference
   O(n^2).
 * **Warm repeated scheduling** and one **end-to-end ``explore()``** (the
@@ -54,17 +55,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _ROOT = os.path.dirname(_HERE)
-_SRC = os.path.join(_ROOT, "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+for _path in (os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tests")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 import contextlib
 
+import reference_scheduler
 from repro.accel.classes import ACCELERATOR_CLASSES
 from repro.core.dse import HeraldDSE
 from repro.core.partitioner import PartitionSearch
 from repro.core.schedule import Schedule, SchedulingError
-from repro.core.scheduler import HeraldScheduler, _InstanceState
+from repro.core.scheduler import (HeraldScheduler, _InstanceState,
+                                  checked_release_cycles)
 from repro.dataflow import mapping as mapping_module
 from repro.dataflow.mapping import build_mapping
 from repro.dataflow.styles import NVDLA, SHIDIANNAO
@@ -143,22 +146,6 @@ class LegacyCostModel(CostModel):
                                     reconfigurable)
         return LegacyLayerCost(**{field.name: getattr(cost, field.name)
                                   for field in dataclasses.fields(cost)})
-
-
-@dataclasses.dataclass
-class _LegacyAssignment:
-    """The seed's dict-backed assignment record (the overhaul made it
-    ``__slots__``); the reference list schedule reads it duck-typed."""
-
-    order_index: int
-    instance_id: str
-    layer_index: int
-    layer: object
-    sub_accelerator: str
-    cost: object
-    predecessors: Tuple[int, ...] = ()
-    unmet_producers: int = 0
-    data_ready_cycle: float = 0.0
 
 
 def _seed_search_factors(dims, budget):
@@ -247,9 +234,14 @@ class _LegacyInstanceState(_InstanceState):
 
 
 class _LegacySchedule(Schedule):
-    """Seed validation: per-instance entry scans and sorted producer walks."""
+    """Seed validation: one full entry scan per check, per-instance scans."""
 
-    def _validate_dependences(self):
+    def validate(self, expected_layers=None):
+        for name in self.sub_accelerator_names:
+            timeline = self.entries_for(name)
+            for previous, current in zip(timeline, timeline[1:]):
+                if current.start_cycle < previous.finish_cycle - 1e-6:
+                    raise SchedulingError(f"{name!r}: overlapping layers")
         instance_ids = {entry.instance_id for entry in self.entries}
         for instance_id in instance_ids:
             chain = self.entries_for_instance(instance_id)
@@ -268,27 +260,53 @@ class _LegacySchedule(Schedule):
                             raise SchedulingError("dependence violation")
             else:
                 self._validate_chain_dependences(instance_id, chain)
+        if self.instance_release_cycles:
+            self._validate_release_times()
+        if expected_layers is not None:
+            scheduled = {}
+            for entry in self.entries:
+                scheduled[entry.instance_id] = (
+                    scheduled.get(entry.instance_id, 0) + 1)
+            if scheduled != expected_layers:
+                raise SchedulingError("incomplete schedule")
 
 
 class LegacyScheduler(HeraldScheduler):
-    """Emulates the seed scheduler hot path.
+    """Emulates the seed scheduler hot path, without the production pipeline.
 
-    Per committed layer it re-queries the cost model for every sub-accelerator
-    and re-sorts the preference list (no per-shape precomputation); the
-    post-processing pass is the retained quadratic full-rescan reference; the
-    visit loop re-scans exhausted instances; liveness is tracked with the
-    seed's live-set scan; workload expansions are rebuilt per call; validation
-    runs the seed's per-instance scans.  The produced schedules are
-    bit-for-bit those of the current scheduler — the equivalence suite proves
-    it — only the work per decision differs.
+    Only the constructor is inherited.  Per committed layer it re-queries the
+    cost model for every sub-accelerator and re-sorts the preference list (no
+    per-shape precomputation); the timeline is the quadratic full-rescan
+    reference of ``tests/reference_scheduler.py``; the visit loop re-scans
+    exhausted instances; liveness is tracked with the seed's live-set scan;
+    workload expansions are rebuilt per call; validation runs the seed's
+    per-check scans.  The produced schedules are bit-for-bit those of the
+    current scheduler — the equivalence suite proves it — only the work per
+    decision differs.
     """
 
     def schedule(self, workload, sub_accelerators, release_cycles=None):
         # The seed had no workload-level memos: re-expand per call.
         workload._instances_memo = None
         workload._shapes_memo = None
-        return super().schedule(workload, sub_accelerators,
-                                release_cycles=release_cycles)
+        instances = workload.instances()
+        releases = checked_release_cycles(release_cycles, instances)
+        assignments = self._initial_assignment(workload, sub_accelerators)
+        timeline = (reference_scheduler.list_schedule
+                    if self.enable_post_processing
+                    else reference_scheduler.replay_in_order)
+        schedule = timeline(assignments,
+                            reference_scheduler.empty_schedule(
+                                self.cost_model, sub_accelerators,
+                                _LegacySchedule),
+                            releases)
+        schedule.instance_predecessors = workload.instance_dependences()
+        if releases:
+            schedule.instance_release_cycles = releases
+        schedule.validate(expected_layers={
+            instance.instance_id: instance.num_layers
+            for instance in instances})
+        return schedule
 
     def _initial_assignment(self, workload, sub_accelerators):
         states = [
@@ -307,7 +325,7 @@ class LegacyScheduler(HeraldScheduler):
             layer = state.head
             acc_name, cost = self._choose_per_layer(layer, sub_accelerators,
                                                     busy_cycles)
-            assignments.append(_LegacyAssignment(
+            assignments.append(reference_scheduler.Assignment(
                 order_index=len(assignments),
                 instance_id=state.instance.instance_id,
                 layer_index=state.next_index,
@@ -327,7 +345,8 @@ class LegacyScheduler(HeraldScheduler):
                 state = states[state_index]
                 if state.exhausted:
                     continue
-                if not self._memory_allows(states, state, state.head):
+                if (self.memory_limit_bytes is not None
+                        and not self._memory_allows(states, state)):
                     if deferred_position is None:
                         deferred_position = position
                     continue
@@ -366,21 +385,6 @@ class LegacyScheduler(HeraldScheduler):
                 return name, cost
         _, name, cost = ranked[0]
         return name, cost
-
-    def _list_schedule(self, assignments, sub_accelerators,
-                       release_cycles=None):
-        return self._list_schedule_reference(assignments, sub_accelerators,
-                                             release_cycles=release_cycles)
-
-    def _empty_schedule(self, sub_accelerators):
-        return _LegacySchedule(
-            sub_accelerator_names=tuple(acc.name for acc in sub_accelerators),
-            clock_hz=sub_accelerators[0].clock_hz,
-            idle_energy_pj_per_cycle_per_pe=(
-                self.cost_model.energy_table.leakage_per_cycle_per_pe),
-            pes_per_sub_accelerator={acc.name: acc.num_pes
-                                     for acc in sub_accelerators},
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -525,21 +529,27 @@ def bench_list_schedule(quick: bool) -> Dict[str, object]:
     accs = _two_way_split(chip)
     model = CostModel()
     scheduler = HeraldScheduler(model)
+    reference = reference_scheduler.ReferenceScheduler(model)
 
     heap_times: List[float] = []
     reference_times: List[float] = []
     for size in sizes:
         workload = _synthetic_chain(size)
-        assignments = scheduler._initial_assignment(workload, accs)
+        assignments = reference.initial_assignment(workload, accs)
+
+        def reference_timeline():
+            return reference_scheduler.list_schedule(
+                assignments, reference_scheduler.empty_schedule(model, accs))
+
         repeats = max(3, (2000 if quick else 20000) // size)
-        # One untimed pass per implementation to settle allocator state.
-        scheduler._list_schedule(assignments, accs)
-        scheduler._list_schedule_reference(assignments, accs)
-        heap_s, _ = _timed(lambda: [scheduler._list_schedule(assignments, accs)
+        # One untimed pass per implementation warms the memos and settles
+        # allocator state.
+        scheduler.schedule(workload, accs)
+        reference_timeline()
+        heap_s, _ = _timed(lambda: [scheduler.schedule(workload, accs)
                                     for _ in range(repeats)])
-        ref_s, _ = _timed(lambda: [
-            scheduler._list_schedule_reference(assignments, accs)
-            for _ in range(repeats)])
+        ref_s, _ = _timed(lambda: [reference_timeline()
+                                   for _ in range(repeats)])
         heap_times.append(heap_s / repeats)
         reference_times.append(ref_s / repeats)
 

@@ -213,19 +213,6 @@ class ModelGraph:
         """
         return self._index_sets("successor_indices", self._successors)
 
-    def sorted_predecessor_indices(self) -> Tuple[Tuple[int, ...], ...]:
-        """:meth:`predecessor_indices` as ascending tuples, memoised.
-
-        The scheduler attaches each layer's producer positions to its
-        assignment record once per design candidate; memoising the sorted form
-        here means the per-candidate cost is a lookup, not ``n`` sorts.
-        """
-        cached = self._derived.get("sorted_predecessor_indices")
-        if cached is None:
-            cached = derive_sorted_predecessors(self.predecessor_indices())
-            self._derived["sorted_predecessor_indices"] = cached
-        return cached
-
     def last_consumer_indices(self) -> Tuple[int, ...]:
         """Per-layer position of the last consumer (-1 for terminal layers).
 
@@ -321,12 +308,6 @@ class ModelGraph:
 # derives the same structures from raw index sets; both it and the memoised
 # ModelGraph accessors above call these helpers so the semantics can never
 # diverge.
-
-def derive_sorted_predecessors(predecessors: Sequence[FrozenSet[int]]
-                               ) -> Tuple[Tuple[int, ...], ...]:
-    """Per-layer producer positions as ascending tuples."""
-    return tuple(tuple(sorted(producers)) for producers in predecessors)
-
 
 def derive_last_consumers(successors: Sequence[FrozenSet[int]]
                           ) -> Tuple[int, ...]:

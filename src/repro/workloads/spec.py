@@ -94,9 +94,10 @@ class WorkloadSpec:
     _shapes_memo: Optional[Tuple[Tuple[Tuple[str, int], ...], List[Layer]]] = \
         field(default=None, init=False, repr=False, compare=False)
     #: Scheduler-owned memo of the design-independent visiting order (see
-    #: ``HeraldScheduler._static_visit_order``), keyed by ordering policy.
-    #: Lives here because its lifetime is the workload's, like the expansions.
-    _static_order_memo: Optional[Dict[str, Tuple]] = \
+    #: ``HeraldScheduler._static_visit_order``), keyed by (ordering policy,
+    #: memory limit).  Lives here because its lifetime is the workload's,
+    #: like the expansions.
+    _static_order_memo: Optional[Dict[Tuple, Tuple]] = \
         field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self) -> Dict[str, object]:

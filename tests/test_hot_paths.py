@@ -9,8 +9,8 @@ Three contracts are pinned here:
    ``python tests/golden_scheduler.py --write``) cover every (metric x
    ordering x load-balance x memory-limit x post-processing) configuration on
    chain / diamond / UNet-skip / 4-instance mixed workloads, plus a full DSE
-   ranking; a hypothesis-driven random-DAG sweep checks the heap scheduler
-   against the retained quadratic reference implementation.
+   ranking; a hypothesis-driven random-DAG sweep checks the scheduler end to
+   end against the executable reference in ``tests/reference_scheduler.py``.
 
 2. **No memo aliasing.**  ``Layer.shape_key`` equality must imply identical
    ``LayerCost`` on every dataflow style, and layers that differ only in
@@ -29,12 +29,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden_scheduler
+import reference_scheduler
 from repro.accel.builders import enumerate_fdas, make_fda
 from repro.core.partitioner import PartitionSearch
 from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.mapping import (build_mapping, clear_mapping_cache,
                                     mapping_cache_info)
-from repro.dataflow.styles import ALL_STYLES, NVDLA, SHIDIANNAO
+from repro.dataflow.styles import ALL_STYLES, EYERISS, NVDLA, SHIDIANNAO
 from repro.exec import (EvaluationTask, PersistentCostCache,
                         ProcessPoolBackend, SerialBackend)
 from repro.exec.cache import CACHE_FORMAT_VERSION
@@ -334,16 +335,28 @@ class TestGoldenEquivalence:
         assert golden_scheduler.run_dse(backend=backend) == golden
 
 
-def _timeline_tuples(schedule):
-    return [(e.instance_id, e.layer_index, e.sub_accelerator, e.start_cycle,
-             e.finish_cycle) for e in schedule.entries]
-
+#: Four sub-accelerators of distinct dataflows and sizes; a draw takes the
+#: first one to four, so every design arity the scheduler unrolls (and the
+#: generic walk beyond them) is exercised.
+_REFERENCE_SUBS = (_sub(NVDLA, name="a0"), _sub(SHIDIANNAO, pes=64, name="a1"),
+                   _sub(EYERISS, pes=64, name="a2"), _sub(NVDLA, pes=32, name="a3"))
 
 _dag_configs = st.tuples(
     st.sampled_from(["edp", "latency", "energy"]),
     st.sampled_from(["breadth", "depth"]),
     st.sampled_from([None, 1.25, 2.0]),
+    # None, plus budgets that bind on the small fc layers below.
+    st.sampled_from([None, 256, 1024, 4096]),
+    st.booleans(),
+    st.integers(min_value=1, max_value=4),
 )
+
+
+def _options(config):
+    metric, ordering, lb, memory_limit, post, n_accs = config
+    return _REFERENCE_SUBS[:n_accs], dict(
+        metric=metric, ordering=ordering, load_balance_factor=lb,
+        memory_limit_bytes=memory_limit, enable_post_processing=post)
 
 
 class TestHeapSchedulerMatchesReference:
@@ -356,7 +369,7 @@ class TestHeapSchedulerMatchesReference:
     )
     @settings(max_examples=60, deadline=None)
     def test_random_dags(self, n, edge_seed, dims, config):
-        """Heap and reference list schedules agree on arbitrary DAG shapes."""
+        """The scheduler matches the reference on arbitrary DAG shapes."""
         import random as random_module
 
         rng = random_module.Random(edge_seed)
@@ -369,15 +382,9 @@ class TestHeapSchedulerMatchesReference:
                     graph.add_edge(f"l{i}", f"l{j}")
         workload = WorkloadSpec.from_models("dag-wl", [graph], batches=2)
 
-        metric, ordering, lb = config
-        scheduler = HeraldScheduler(CostModel(), metric=metric,
-                                    ordering=ordering,
-                                    load_balance_factor=lb)
-        accs = [_sub(NVDLA, name="a0"), _sub(SHIDIANNAO, pes=64, name="a1")]
-        assignments = scheduler._initial_assignment(workload, accs)
-        heap_schedule = scheduler._list_schedule(assignments, accs)
-        reference = scheduler._list_schedule_reference(assignments, accs)
-        assert _timeline_tuples(heap_schedule) == _timeline_tuples(reference)
+        accs, options = _options(config)
+        reference_scheduler.assert_matches_reference(CostModel(), workload,
+                                                     accs, **options)
 
     def test_rankings_memo_respects_metric_mutation(self, cost_model):
         """Reassigning scheduler.metric must not serve stale rankings."""
@@ -389,20 +396,59 @@ class TestHeapSchedulerMatchesReference:
         remetered = mutated.schedule(workloads["chain"], accs)
         fresh = HeraldScheduler(cost_model, metric="latency").schedule(
             workloads["chain"], accs)
-        assert _timeline_tuples(remetered) == _timeline_tuples(fresh)
+        assert (reference_scheduler.timeline(remetered)
+                == reference_scheduler.timeline(fresh))
 
     def test_golden_workloads(self, cost_model):
-        """Direct heap-vs-reference comparison on the golden topologies."""
+        """Scheduler vs reference on the golden topologies and options."""
         workloads = golden_scheduler.build_workloads()
         accs = golden_scheduler.build_sub_accelerators()
-        for workload in workloads.values():
+        for key, workload in workloads.items():
             for ordering in ("breadth", "depth"):
-                scheduler = HeraldScheduler(cost_model, ordering=ordering)
-                assignments = scheduler._initial_assignment(workload, accs)
-                heap_schedule = scheduler._list_schedule(assignments, accs)
-                reference = scheduler._list_schedule_reference(assignments, accs)
-                assert _timeline_tuples(heap_schedule) == \
-                    _timeline_tuples(reference)
+                for memory_limit in golden_scheduler.MEMORY_LIMITS[key]:
+                    for post in (True, False):
+                        reference_scheduler.assert_matches_reference(
+                            cost_model, workload, accs, ordering=ordering,
+                            memory_limit_bytes=memory_limit,
+                            enable_post_processing=post)
+
+
+def _load_hot_path_bench():
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "benchmarks", "bench_hot_paths.py")
+    spec = importlib.util.spec_from_file_location("bench_hot_paths", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLegacyBenchArm:
+    @pytest.mark.parametrize("post", [True, False])
+    def test_legacy_scheduler_never_runs_the_production_pipeline(
+            self, cost_model, monkeypatch, post):
+        """The bench's legacy arm times its own code, not the pipeline.
+
+        With the production pipeline disabled, ``LegacyScheduler`` must still
+        reproduce the production timeline; otherwise the ``explore`` section
+        would compare the current code with itself.
+        """
+        bench = _load_hot_path_bench()
+        workload = golden_scheduler.build_workloads()["mixed4"]
+        accs = golden_scheduler.build_sub_accelerators()
+        options = dict(memory_limit_bytes=mib(8), enable_post_processing=post)
+        expected = HeraldScheduler(cost_model, **options).schedule(workload,
+                                                                   accs)
+
+        def disabled(*args, **kwargs):
+            raise AssertionError("the production pipeline ran")
+
+        monkeypatch.setattr(HeraldScheduler, "_schedule_slots", disabled)
+        legacy = bench.LegacyScheduler(cost_model, **options)
+        assert (reference_scheduler.timeline(legacy.schedule(workload, accs))
+                == reference_scheduler.timeline(expected))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 import pytest
 
+import reference_scheduler
+from repro.accel.builders import make_hda
+from repro.accel.classes import ACCELERATOR_CLASSES
 from repro.core.greedy import GreedyScheduler
 from repro.core.scheduler import HeraldScheduler
+from repro.dataflow.styles import EYERISS, NVDLA, SHIDIANNAO
 from repro.exceptions import SchedulingError
 from repro.units import mib
+from repro.workloads.suites import arvr_a
 
 
 class TestHeraldSchedulerConfiguration:
@@ -113,6 +118,36 @@ class TestHeraldSchedulerBehaviour:
             workload, tiny_sub_accelerators)
         counts = schedule.layer_counts()
         assert counts["acc0-nvdla"] == len(channel_heavy_model)
+
+
+class TestWideDesigns:
+    """Designs with more than two sub-accelerators outside the default options.
+
+    The load-balance walk for three or more sub-accelerators once lived in a
+    separate general path that crashed on memory-limited three-way designs
+    and on four-way designs without post-processing.
+    """
+
+    def _check(self, cost_model, styles, **options):
+        workload = arvr_a()
+        design = make_hda(ACCELERATOR_CLASSES["edge"], styles)
+        schedule, violations = reference_scheduler.assert_matches_reference(
+            cost_model, workload, design.sub_accelerators, **options)
+        assert len(schedule) == workload.total_layers
+        schedule.validate({instance.instance_id: instance.num_layers
+                           for instance in workload.instances()})
+        return schedule, violations
+
+    def test_memory_limited_three_way_hda(self, cost_model):
+        _, violations = self._check(cost_model, [NVDLA, SHIDIANNAO, EYERISS],
+                                    memory_limit_bytes=mib(1))
+        assert violations > 0
+
+    def test_four_way_hda_without_post_processing(self, cost_model):
+        schedule, _ = self._check(cost_model,
+                                  [NVDLA, SHIDIANNAO, EYERISS, NVDLA],
+                                  enable_post_processing=False)
+        assert all(count > 0 for count in schedule.layer_counts().values())
 
 
 class TestGreedyScheduler:

@@ -11,8 +11,8 @@ the online scheduler produces must satisfy the serving invariants:
   scheduler still terminates, schedules every layer exactly once, and only
   reports violations through the counted DRAM-spill fallback;
 * **degenerate equivalence** — an all-zero release trace is bit-for-bit the
-  batch schedule, and the heap-based event-driven implementation matches the
-  retained quadratic reference under arbitrary release traces.
+  batch schedule, and the scheduler matches the executable reference in
+  ``tests/reference_scheduler.py`` under arbitrary release traces.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import random as random_module
 
 from hypothesis import given, settings, strategies as st
 
+import reference_scheduler
 from repro.core.scheduler import HeraldScheduler
-from repro.dataflow.styles import NVDLA, SHIDIANNAO
+from repro.dataflow.styles import EYERISS, NVDLA, SHIDIANNAO
 from repro.maestro.cost import CostModel
 from repro.maestro.hardware import SubAcceleratorConfig
 from repro.models.graph import ModelGraph
@@ -120,22 +121,28 @@ class TestOnlineInvariants:
             for previous, current in zip(timeline, timeline[1:]):
                 assert current.start_cycle >= previous.finish_cycle - 1e-6
 
-    @given(**_workload_params)
+    @given(**_workload_params,
+           memory_limit=st.sampled_from([None, 256, 1024, 4096]),
+           post=st.booleans(),
+           n_accs=st.integers(min_value=1, max_value=4))
     @settings(max_examples=30, deadline=None)
     def test_heap_matches_reference_under_releases(
-            self, n, edge_seed, dims, batches, release_seed, horizon, config):
+            self, n, edge_seed, dims, batches, release_seed, horizon, config,
+            memory_limit, post, n_accs):
         workload = _random_workload(n, edge_seed, dims, batches)
         releases = _random_releases(workload, release_seed, horizon)
         metric, ordering, lb = config
-        scheduler = HeraldScheduler(_COST_MODEL, metric=metric,
-                                    ordering=ordering, load_balance_factor=lb)
-        accs = _subs()
-        assignments = scheduler._initial_assignment(workload, accs)
-        heap = scheduler._list_schedule(assignments, accs,
-                                        release_cycles=releases)
-        reference = scheduler._list_schedule_reference(assignments, accs,
-                                                       release_cycles=releases)
-        assert _timeline(heap) == _timeline(reference)
+        accs = _subs() + (
+            SubAcceleratorConfig(name="a2", dataflow=EYERISS, num_pes=64,
+                                 bandwidth_bytes_per_s=gbps(4),
+                                 buffer_bytes=mib(1)),
+            SubAcceleratorConfig(name="a3", dataflow=NVDLA, num_pes=32,
+                                 bandwidth_bytes_per_s=gbps(4),
+                                 buffer_bytes=mib(1)))
+        reference_scheduler.assert_matches_reference(
+            _COST_MODEL, workload, accs[:n_accs], release_cycles=releases,
+            metric=metric, ordering=ordering, load_balance_factor=lb,
+            memory_limit_bytes=memory_limit, enable_post_processing=post)
 
     @given(**_workload_params)
     @settings(max_examples=25, deadline=None)
