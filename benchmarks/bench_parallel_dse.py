@@ -1,27 +1,22 @@
-"""Execution engine: serial vs process-pool DSE wall-clock, and cache warmth.
+"""Execution engine: serial vs process-pool DSE wall-clock.
 
 Not a paper figure — this benchmark characterises the execution engine added
 for production-scale sweeps.  It runs the same AR/VR-A / edge design-space
-exploration three ways and reports:
+exploration two ways and reports:
 
 * serial backend, cold cost model (the historical behaviour);
 * process-pool backend (``--jobs 2`` equivalent) and its speedup (on a
   single-core host the pool's process overhead typically makes this a
-  slowdown; the ranking equality is what matters there);
-* serial backend warm-started from a persistent cost cache written by the
-  first run, with the cache hit rate and the cold-evaluation count (which
-  must be zero).
+  slowdown; the ranking equality is what matters there).
 """
 
-import os
-import tempfile
 import time
 
 from repro.accel.classes import ACCELERATOR_CLASSES
 from repro.core.dse import HeraldDSE
 from repro.core.partitioner import PartitionSearch
 from repro.core.scheduler import HeraldScheduler
-from repro.exec import PersistentCostCache, ProcessPoolBackend, SerialBackend
+from repro.exec import ProcessPoolBackend, SerialBackend
 from repro.maestro.cost import CostModel
 from repro.workloads.suites import arvr_a
 
@@ -32,10 +27,10 @@ BW_STEPS = 2
 JOBS = 2
 
 
-def _explore(backend_factory, cache=None):
+def _explore(backend_factory):
     model = CostModel()
     scheduler = HeraldScheduler(model)
-    backend = backend_factory(model, scheduler, cache)
+    backend = backend_factory(model, scheduler)
     search = PartitionSearch(cost_model=model, scheduler=scheduler,
                              pe_steps=PE_STEPS, bw_steps=BW_STEPS)
     dse = HeraldDSE(cost_model=model, scheduler=scheduler,
@@ -48,49 +43,33 @@ def _explore(backend_factory, cache=None):
 
 def _bench_parallel_dse():
     rows = []
-    with tempfile.TemporaryDirectory() as tmp:
-        cache_path = os.path.join(tmp, "cost-cache.json")
+    serial_space, serial_backend, serial_s = _explore(
+        lambda model, scheduler: SerialBackend(cost_model=model,
+                                               scheduler=scheduler))
+    rows.append(f"serial (cold):   {serial_s:7.2f} s  "
+                f"{len(serial_space.points)} points  "
+                f"{serial_backend.total_cold_evaluations} cold evaluations")
 
-        serial_space, serial_backend, serial_s = _explore(
-            lambda model, scheduler, cache: SerialBackend(
-                cost_model=model, scheduler=scheduler, cache=cache),
-            cache=PersistentCostCache(cache_path))
-        rows.append(f"serial (cold):   {serial_s:7.2f} s  "
-                    f"{len(serial_space.points)} points  "
-                    f"{serial_backend.total_cold_evaluations} cold evaluations")
+    pool_space, pool_backend, pool_s = _explore(
+        lambda model, scheduler: ProcessPoolBackend(
+            jobs=JOBS, cost_model=model, scheduler=scheduler))
+    rows.append(f"pool ({JOBS} jobs):   {pool_s:7.2f} s  "
+                f"{len(pool_space.points)} points  "
+                f"speedup x{serial_s / pool_s:.2f}  "
+                f"{pool_backend.last_new_cache_entries} memo entries recovered "
+                "from workers")
 
-        pool_space, pool_backend, pool_s = _explore(
-            lambda model, scheduler, cache: ProcessPoolBackend(
-                jobs=JOBS, cost_model=model, scheduler=scheduler))
-        rows.append(f"pool ({JOBS} jobs):   {pool_s:7.2f} s  "
-                    f"{len(pool_space.points)} points  "
-                    f"speedup x{serial_s / pool_s:.2f}  "
-                    f"{pool_backend.last_new_cache_entries} memo entries recovered "
-                    "from workers")
-
-        warm_space, warm_backend, warm_s = _explore(
-            lambda model, scheduler, cache: SerialBackend(
-                cost_model=model, scheduler=scheduler, cache=cache),
-            cache=PersistentCostCache(cache_path))
-        total = warm_backend.total_cache_hits + warm_backend.total_cold_evaluations
-        rows.append(f"serial (warm):   {warm_s:7.2f} s  "
-                    f"speedup x{serial_s / warm_s:.2f}  "
-                    f"{warm_backend.total_cold_evaluations} cold evaluations  "
-                    f"cache hit rate {warm_backend.total_cache_hits / total:.1%}")
-
-        for category in serial_space.categories():
-            best = serial_space.best(category)
-            for other in (pool_space, warm_space):
-                assert other.best(category).design.name == best.design.name
-                assert other.best(category).edp == best.edp
-        rows.append("rankings: identical across serial / pool / warm runs")
-        warm_cold = warm_backend.total_cold_evaluations
-    return rows, warm_cold
+    identical = all(
+        pool_space.best(category).design.name
+        == serial_space.best(category).design.name
+        and pool_space.best(category).edp == serial_space.best(category).edp
+        for category in serial_space.categories())
+    rows.append("rankings: " + ("identical" if identical else "DIFFER")
+                + " across serial / pool runs")
+    return rows, identical
 
 
 def test_parallel_dse(benchmark):
-    rows, warm_cold_evaluations = run_once(benchmark, _bench_parallel_dse)
+    rows, rankings_identical = run_once(benchmark, _bench_parallel_dse)
     emit("parallel_dse", rows)
-    # The whole point of the persistent cache: a warmed sweep never re-runs
-    # the analytical model.
-    assert warm_cold_evaluations == 0
+    assert rankings_identical

@@ -9,8 +9,8 @@ The library implements the paper's full stack:
 * the Table II multi-DNN workloads (:mod:`repro.workloads`);
 * **Herald**: the scheduler, hardware partitioner, and co-DSE driver
   (:mod:`repro.core`);
-* a pluggable execution engine — serial / process-pool backends and a
-  persistent cost cache — for large sweeps (:mod:`repro.exec`);
+* a pluggable execution engine — serial / process-pool backends — for
+  large sweeps (:mod:`repro.exec`);
 * a streaming serving simulator — frame-arrival traces, online scheduling,
   SLA metrics, sustained FPS (:mod:`repro.serve`);
 * a declarative experiment layer — validated config specs, one runner for
@@ -87,7 +87,6 @@ from repro.core import (
 from repro.exec import (
     EvaluationTask,
     ExecutionBackend,
-    PersistentCostCache,
     ProcessPoolBackend,
     SerialBackend,
 )
@@ -168,7 +167,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "PersistentCostCache",
     # serving
     "StreamSpec",
     "StreamingWorkload",

@@ -324,18 +324,13 @@ class HeraldDSE:
         pass up front and every candidate's scheduling turns into pure memo
         lookups.  For a pool backend the warmed memo then ships to the
         workers once with the pool initializer instead of trickling back
-        entry-by-entry from each task.  A persistent cache (if any) is warmed
-        in first so it still serves before anything is computed, and the
-        computed count is credited to the backend's cold-evaluation total —
-        the round computes exactly the entries the lazy path would have, so
-        reported totals are unchanged.
+        entry-by-entry from each task.  The computed count is credited to the
+        backend's cold-evaluation total — the round computes exactly the
+        entries the lazy path would have, so reported totals are unchanged.
         """
         model = getattr(self.backend, "cost_model", None)
         if model is None or not hasattr(model, "prewarm"):
             return
-        warm_from_cache = getattr(self.backend, "_warm_from_cache", None)
-        if warm_from_cache is not None:
-            warm_from_cache()
         distinct: Dict[Tuple, object] = {}
         for task in tasks:
             for acc in task.design.sub_accelerators:

@@ -9,9 +9,9 @@ evaluations.  This package turns each evaluation into a declarative, picklable
 * :class:`ProcessPoolBackend` — chunked ``multiprocessing`` fan-out with
   cost-model warmth shipped to and recovered from the workers.
 
-:class:`PersistentCostCache` spills the cost model's per-(layer, dataflow,
-hardware) memo to a JSON file so repeated sweeps across process lifetimes
-start warm.
+The cost model's per-(layer shape, dataflow, hardware) memo lives in the
+parent process: a pool ships it to its workers and merges what they compute
+back, so repeated runs in one process start warm.
 
 The resilience layer makes long sweeps survive their environment:
 :class:`RetryPolicy` gives both backends bounded retries, per-task timeout
@@ -23,7 +23,6 @@ so a killed sweep resumes exactly where it died.
 """
 
 from repro.exec.tasks import EvaluationTask, run_evaluation_task
-from repro.exec.cache import PersistentCostCache
 from repro.exec.chaos import ChaosBackend, ChaosSpec
 from repro.exec.checkpoint import (
     DEFAULT_SCOPE,
@@ -41,7 +40,6 @@ from repro.exec.backends import ExecutionBackend, ProcessPoolBackend, SerialBack
 __all__ = [
     "EvaluationTask",
     "run_evaluation_task",
-    "PersistentCostCache",
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",

@@ -18,8 +18,8 @@ crashes, hangs, and transient errors into any backend and still assert
   are pinned.
 
 :class:`ChaosBackend` is the user-facing wrapper: it installs a spec on any
-backend and delegates everything else, so chaos composes with caches,
-checkpoints, and both execution strategies.
+backend and delegates everything else, so chaos composes with checkpoints
+and both execution strategies.
 
 By default faults are *simulated* at the dispatch layer (the backend raises
 :class:`~repro.exceptions.WorkerCrash` / :class:`~repro.exceptions.WorkerHang`
@@ -157,9 +157,9 @@ class ChaosBackend:
 
     The wrapper installs its :class:`ChaosSpec` on the inner backend (whose
     retry loop consults it on every attempt) and delegates everything else,
-    so the wrapped backend keeps its cache, checkpoint, and counter
-    behaviour.  Removing the wrapper — or using a spec with all-zero rates —
-    restores the undisturbed run exactly.
+    so the wrapped backend keeps its checkpoint and counter behaviour.
+    Removing the wrapper — or using a spec with all-zero rates — restores
+    the undisturbed run exactly.
     """
 
     def __init__(self, inner, spec: ChaosSpec) -> None:
@@ -170,10 +170,6 @@ class ChaosBackend:
     @property
     def cost_model(self):
         return self.inner.cost_model
-
-    @property
-    def cache(self):
-        return self.inner.cache
 
     @property
     def scheduler(self):

@@ -32,7 +32,6 @@ from repro.exceptions import (
     WorkloadError,
 )
 from repro.exec import (
-    PersistentCostCache,
     ProcessPoolBackend,
     SerialBackend,
     SweepCheckpoint,
@@ -142,7 +141,7 @@ def _finish(spec: ExperimentSpec, metrics: Dict[str, float],
 # schedule
 # ---------------------------------------------------------------------------
 def _run_schedule(spec: ExperimentSpec) -> ExperimentOutcome:
-    cost_model = CostModel(vectorized=spec.exec_settings.vectorized)
+    cost_model = CostModel()
     scheduler = HeraldScheduler(cost_model, metric=spec.metric)
     design = _resolve_design(spec.design, spec.workload, spec.chip,
                              cost_model, scheduler)
@@ -161,19 +160,17 @@ def _run_schedule(spec: ExperimentSpec) -> ExperimentOutcome:
 # ---------------------------------------------------------------------------
 def _run_dse(spec: ExperimentSpec,
              checkpoint: Optional[SweepCheckpoint] = None) -> ExperimentOutcome:
-    cost_model = CostModel(vectorized=spec.exec_settings.vectorized)
+    cost_model = CostModel()
     scheduler = HeraldScheduler(cost_model)
-    cache = (PersistentCostCache(spec.exec_settings.cache_file)
-             if spec.exec_settings.cache_file else None)
     policy = spec.exec_settings.retry_policy()
     if spec.exec_settings.jobs > 1:
         backend = ProcessPoolBackend(jobs=spec.exec_settings.jobs,
                                      cost_model=cost_model,
-                                     scheduler=scheduler, cache=cache,
+                                     scheduler=scheduler,
                                      retry_policy=policy)
     else:
         backend = SerialBackend(cost_model=cost_model, scheduler=scheduler,
-                                cache=cache, retry_policy=policy)
+                                retry_policy=policy)
     search = search_from_spec(spec.search, cost_model=cost_model,
                               scheduler=scheduler)
     dse = HeraldDSE(cost_model=cost_model, scheduler=scheduler,
@@ -191,11 +188,6 @@ def _run_dse(spec: ExperimentSpec,
           f"{backend.total_cache_hits} cache hits")
     if checkpoint is not None:
         print(checkpoint.describe())
-    if cache is not None:
-        print(cache.describe())
-        if backend.cache_save_error is not None:
-            print(f"warning: could not save cost cache: "
-                  f"{backend.cache_save_error}", file=sys.stderr)
 
     metrics: Dict[str, float] = {}
     best_designs: Dict[str, str] = {}
@@ -240,7 +232,7 @@ def _serving_metrics(summary: Dict[str, object],
 
 
 def _run_serve(spec: ExperimentSpec) -> ExperimentOutcome:
-    cost_model = CostModel(vectorized=spec.exec_settings.vectorized)
+    cost_model = CostModel()
     scheduler = HeraldScheduler(cost_model, metric=spec.metric)
     design = _resolve_design(spec.design, spec.workload, spec.chip,
                              cost_model, scheduler)
@@ -296,7 +288,7 @@ def _run_serve(spec: ExperimentSpec) -> ExperimentOutcome:
 def _run_fleet(spec: ExperimentSpec,
                checkpoint: Optional[SweepCheckpoint] = None
                ) -> ExperimentOutcome:
-    cost_model = CostModel(vectorized=spec.exec_settings.vectorized)
+    cost_model = CostModel()
     scheduler = HeraldScheduler(cost_model, metric=spec.metric)
     design = _resolve_design(spec.design, spec.workload, spec.chip,
                              cost_model, scheduler)

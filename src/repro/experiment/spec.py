@@ -75,8 +75,7 @@ _STREAMING_KNOB_KEYS = ("frames", "fps_scale", "jitter_ms", "seed")
 _TRAFFIC_KEYS = ("kind",) + tuple(_SHAPE_DEFAULTS)
 _SUSTAINED_KEYS = ("enabled", "lo", "hi", "probes", "tolerance")
 _MIN_CHIPS_KEYS = ("enabled", "max_chips")
-_EXEC_KEYS = ("jobs", "cache_file", "max_retries", "task_timeout_s",
-              "partial_ok", "vectorized")
+_EXEC_KEYS = ("jobs", "max_retries", "task_timeout_s", "partial_ok")
 
 
 @dataclass(frozen=True)
@@ -118,26 +117,18 @@ class MinChipsSettings:
 
 @dataclass(frozen=True)
 class ExecSettings:
-    """Execution-backend settings (worker processes, persistent cache,
-    fault-tolerance knobs).
+    """Execution-backend settings (worker processes, fault-tolerance knobs).
 
     ``max_retries`` / ``task_timeout_s`` build a
     :class:`~repro.exec.RetryPolicy` for the backend when either is set;
     ``partial_ok`` lets a sweep rank whatever completed and report the
     casualties instead of aborting on the first exhausted task.
-    ``vectorized`` threads straight into
-    :class:`~repro.maestro.CostModel` — ``None`` (auto) vectorises batch
-    estimation when numpy is available, ``True``/``False`` force one path;
-    both paths are bitwise-identical, so this is a performance knob and
-    never changes a report.
     """
 
     jobs: int = 1
-    cache_file: Optional[str] = None
     max_retries: Optional[int] = None
     task_timeout_s: Optional[float] = None
     partial_ok: bool = False
-    vectorized: Optional[bool] = None
 
     def retry_policy(self) -> Optional["RetryPolicy"]:
         """The retry policy these settings imply, or None for legacy
@@ -280,12 +271,6 @@ def _min_chips_settings(value: object, path: str) -> MinChipsSettings:
 def _exec_settings(mapping: Dict[str, object], path: str,
                    kind: str) -> ExecSettings:
     check_keys(mapping, _EXEC_KEYS, path)
-    cache_file = mapping.get("cache_file")
-    if cache_file is not None:
-        if kind != "dse":
-            raise SpecError(f"{spec_path(path, 'cache_file')}: only a 'dse' "
-                            f"experiment takes a persistent cost cache")
-        cache_file = expect_str(cache_file, spec_path(path, "cache_file"))
     jobs = expect_pos_int(mapping.get("jobs", 1), spec_path(path, "jobs"))
     if jobs > 1 and kind in ("schedule", "serve"):
         raise SpecError(f"{spec_path(path, 'jobs')}: a {kind!r} experiment "
@@ -311,13 +296,8 @@ def _exec_settings(mapping: Dict[str, object], path: str,
                                        minimum=0.0, exclusive=True)
     partial_ok = expect_bool(mapping.get("partial_ok", False),
                              spec_path(path, "partial_ok"))
-    vectorized = mapping.get("vectorized")
-    if vectorized is not None:
-        vectorized = expect_bool(vectorized, spec_path(path, "vectorized"))
-    return ExecSettings(jobs=jobs, cache_file=cache_file,
-                        max_retries=max_retries,
-                        task_timeout_s=task_timeout_s, partial_ok=partial_ok,
-                        vectorized=vectorized)
+    return ExecSettings(jobs=jobs, max_retries=max_retries,
+                        task_timeout_s=task_timeout_s, partial_ok=partial_ok)
 
 
 def _validate_fleet(mapping: Dict[str, object], path: str,

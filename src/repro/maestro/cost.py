@@ -21,7 +21,7 @@ list before estimating anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import HardwareConfigError
 from repro.units import cycles_to_seconds, picojoules_to_millijoules
@@ -235,12 +235,6 @@ class CostModel:
         self._cache: Dict[Tuple, LayerCost] = {}
         self.hits = 0
         self.misses = 0
-        #: Optional ``(key, cost)`` callback fired when a *computed* entry is
-        #: memoised (not on :meth:`install_cached` warm starts).  The
-        #: persistent cache uses it for its append-only journal.  Never
-        #: pickled: a hook bound to a parent-process journal must not follow
-        #: the model into pool workers (see :meth:`__getstate__`).
-        self.new_entry_hook: Optional[Callable[[Tuple, LayerCost], None]] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -266,8 +260,6 @@ class CostModel:
         self.misses += 1
         cost = self._compute_cost(layer, sub_accelerator)
         self._cache[key] = cost
-        if self.new_entry_hook is not None:
-            self.new_entry_hook(key, cost)
         return cost
 
     def _compute_cost(self, layer: Layer,
@@ -394,21 +386,17 @@ class CostModel:
                           sub_accelerator: SubAcceleratorConfig) -> None:
         """Estimate and memoise ``missing`` (key, layer) pairs on one config.
 
-        Counter and hook semantics match the scalar miss path entry for
-        entry: one counted miss and one ``new_entry_hook`` firing per
-        computed cost, in discovery order.
+        Counter semantics match the scalar miss path entry for entry: one
+        counted miss per computed cost, in discovery order.
         """
         layers = [layer for _, layer in missing]
         if self._use_vectorized(len(layers)):
             costs = self._batch_estimate(layers, sub_accelerator)
         else:
             costs = [self._compute_cost(layer, sub_accelerator) for layer in layers]
-        hook = self.new_entry_hook
         for (key, _), cost in zip(missing, costs):
             self.misses += 1
             self._cache[key] = cost
-            if hook is not None:
-                hook(key, cost)
 
     def _batch_estimate(self, layers: Sequence[Layer],
                         sub_accelerator: SubAcceleratorConfig) -> List[LayerCost]:
@@ -447,11 +435,15 @@ class CostModel:
         return len(self._cache)
 
     def cache_items(self) -> List[Tuple[Tuple, LayerCost]]:
-        """All memoised entries as ``(key, cost)`` pairs (for cache spilling)."""
+        """All memoised entries as ``(key, cost)`` pairs.
+
+        Pool workers use it to find the entries they computed, which travel
+        back with their results.
+        """
         return list(self._cache.items())
 
     def install_cached(self, key: Tuple, cost: LayerCost) -> bool:
-        """Pre-populate one memo entry (warm start from a persistent cache).
+        """Install one memo entry computed elsewhere (a pool worker's).
 
         Returns ``True`` when the key was not memoised yet.
         """
@@ -467,14 +459,6 @@ class CostModel:
         """Zero the hit/miss counters (the memo itself is kept)."""
         self.hits = 0
         self.misses = 0
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The new-entry hook is parent-process state (it appends to the
-        # persistent cache's journal file); shipping it into pool workers
-        # would journal every entry twice from processes that share the file.
-        state = dict(self.__dict__)
-        state["new_entry_hook"] = None
-        return state
 
     def clear_cache(self) -> None:
         """Drop all memoised results."""

@@ -32,23 +32,11 @@ class TestSchedule:
 
 
 class TestDse:
-    def test_dse_serial_with_cache_file(self, tmp_path, capsys):
-        cache_file = str(tmp_path / "cache.json")
-        args = ["dse", "--workload", "arvr-a", "--chip", "edge",
-                "--pe-steps", "4", "--bw-steps", "1", "--cache-file", cache_file]
-        assert main(args) == 0
-        cold_output = capsys.readouterr().out
-        assert "best fda" in cold_output
-        assert "cold evaluations" in cold_output
-
-        # Second run starts warm from the cache file: zero cold evaluations,
-        # identical best-design lines.
-        assert main(args) == 0
-        warm_output = capsys.readouterr().out
-        assert "cost model: 0 cold evaluations" in warm_output
-        cold_best = [line for line in cold_output.splitlines() if "best" in line]
-        warm_best = [line for line in warm_output.splitlines() if "best" in line]
-        assert cold_best == warm_best
+    def test_cache_file_flag_is_rejected(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dse", "--workload", "arvr-a", "--chip", "edge",
+                  "--cache-file", "x"])
+        assert excinfo.value.code == 2
 
     def test_dse_parallel_jobs_match_serial(self, tmp_path, capsys):
         base = ["dse", "--workload", "arvr-a", "--chip", "edge",

@@ -162,9 +162,9 @@ _ERROR_CASES = [
      "search.pe_steps: expected an int >= 2 (got 1)"),
     ({"kind": "serve", "exec": {"jobs": 4}},
      "exec.jobs: a 'serve' experiment runs in-process (jobs must be 1)"),
-    ({"kind": "schedule", "exec": {"cache_file": "x.json"}},
-     "exec.cache_file: only a 'dse' experiment takes a persistent cost "
-     "cache"),
+    ({"kind": "dse", "exec": {"cache_file": "x.json"}},
+     "exec.cache_file: unknown key (allowed: ['jobs', 'max_retries', "
+     "'partial_ok', 'task_timeout_s'])"),
     ({"kind": "fleet", "design": "rda",
       "fleet": {"chips": ["rda", {"kind": "fda", "style": "nvdla",
                                   "chip": {"num_pes": -3, "noc_gbps": 4,
@@ -200,6 +200,9 @@ _ERROR_CASES = [
      "fleet.policy: expected one of ['earliest-completion', "
      "'least-outstanding', 'passthrough', 'round-robin', 'sticky'] "
      "(got 'random')"),
+    ({"kind": "dse", "exec": {"vectorized": True}},
+     "exec.vectorized: unknown key (allowed: ['jobs', 'max_retries', "
+     "'partial_ok', 'task_timeout_s'])"),
 ]
 
 

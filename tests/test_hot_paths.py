@@ -1,6 +1,6 @@
 """Tests for the evaluation hot-path overhaul.
 
-Three contracts are pinned here:
+Two contracts are pinned here:
 
 1. **Bit-for-bit equivalence.**  The shape-keyed cost memo, the heap-based
    event-driven list scheduler, and the incremental partition search must not
@@ -15,14 +15,10 @@ Three contracts are pinned here:
 2. **No memo aliasing.**  ``Layer.shape_key`` equality must imply identical
    ``LayerCost`` on every dataflow style, and layers that differ only in
    ``stride`` / ``upscale`` / operator semantics must produce distinct keys.
-
-3. **Cache migration.**  Old full-``Layer``-keyed persistent cache files are
-   discarded transparently (never mixed, never fatal).
 """
 
 from __future__ import annotations
 
-import json
 import pickle
 
 import pytest
@@ -30,15 +26,13 @@ from hypothesis import given, settings, strategies as st
 
 import golden_scheduler
 import reference_scheduler
-from repro.accel.builders import enumerate_fdas, make_fda
+from repro.accel.builders import enumerate_fdas
 from repro.core.partitioner import PartitionSearch
 from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.mapping import (build_mapping, clear_mapping_cache,
                                     mapping_cache_info)
 from repro.dataflow.styles import ALL_STYLES, EYERISS, NVDLA, SHIDIANNAO
-from repro.exec import (EvaluationTask, PersistentCostCache,
-                        ProcessPoolBackend, SerialBackend)
-from repro.exec.cache import CACHE_FORMAT_VERSION
+from repro.exec import EvaluationTask, ProcessPoolBackend, SerialBackend
 from repro.maestro import batch as batch_module
 from repro.maestro.cost import CostModel, clear_all_memos
 from repro.maestro.hardware import SubAcceleratorConfig
@@ -227,70 +221,6 @@ class TestWorkloadShapeDedup:
         assert clone._shapes_memo is None
         assert [i.instance_id for i in clone.instances()] == \
             [i.instance_id for i in small_workload.instances()]
-
-
-# ---------------------------------------------------------------------------
-# Persistent-cache migration
-# ---------------------------------------------------------------------------
-
-class TestCacheMigration:
-    def _legacy_v2_payload(self):
-        return {
-            "version": 2,
-            "fingerprint": "whatever",
-            "entries": [{
-                "layer": {"name": "l", "k": 1, "c": 1, "y": 1, "x": 1, "r": 1,
-                          "s": 1, "stride": 1, "upscale": 1, "model_name": "",
-                          "layer_type": "FC"},
-                "dataflow": "nvdla", "num_pes": 64,
-                "bandwidth_bytes_per_s": 1, "buffer_bytes": 1,
-                "clock_hz": 1e9, "cost": {},
-            }],
-        }
-
-    def test_legacy_file_is_discarded_not_corrupted(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps(self._legacy_v2_payload()))
-        cache = PersistentCostCache(str(path))
-        assert len(cache) == 0
-        assert not cache.corrupted
-        assert cache.discarded_version == 2
-        assert "legacy v2" in cache.describe()
-
-    def test_legacy_file_is_rewritten_in_current_format(self, tmp_path,
-                                                        tiny_chip,
-                                                        small_workload):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps(self._legacy_v2_payload()))
-        backend = SerialBackend(cache=PersistentCostCache(str(path)))
-        backend.run([EvaluationTask(0, make_fda(tiny_chip, NVDLA),
-                                    small_workload)])
-        payload = json.loads(path.read_text())
-        assert payload["version"] == CACHE_FORMAT_VERSION
-        assert payload["entries"], "migrated file must carry fresh entries"
-        reloaded = PersistentCostCache(str(path))
-        assert reloaded.discarded_version is None
-        assert len(reloaded) > 0
-
-    def test_future_version_is_corrupted_not_discarded(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"version": 999, "entries": []}))
-        cache = PersistentCostCache(str(path))
-        assert cache.corrupted
-        assert cache.discarded_version is None
-
-    def test_entries_are_shape_shared_across_models(self, tmp_path):
-        """The on-disk cache stores one entry per shape, not per layer name."""
-        path = str(tmp_path / "cache.json")
-        model = CostModel()
-        sub = _sub()
-        for index in range(5):
-            model.layer_cost(conv2d(f"block{index}", k=8, c=4, y=16, x=16,
-                                    r=3, s=3, model_name=f"net{index}"), sub)
-        cache = PersistentCostCache(path)
-        cache.capture(model)
-        cache.save()
-        assert len(PersistentCostCache(path)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -623,35 +553,5 @@ class TestSharedPoolTable:
         results = backend.run(tasks)
         assert backend.last_new_cache_entries == 0
         assert model.cache_size() == size_before
-        serial = SerialBackend().run(tasks)
-        assert _result_summaries(results) == _result_summaries(serial)
-
-    def test_forced_shared_table_skips_merge_back_on_cold_model(
-            self, tiny_chip, small_workload):
-        """shared_table=True never ships worker entries, results unchanged."""
-        tasks = self._tasks(tiny_chip, small_workload)
-        model = CostModel()
-        backend = ProcessPoolBackend(jobs=2, cost_model=model,
-                                     shared_table=True)
-        results = backend.run(tasks)
-        assert model.cache_size() == 0
-        assert backend.last_new_cache_entries == 0
-        serial = SerialBackend().run(tasks)
-        assert _result_summaries(results) == _result_summaries(serial)
-
-    def test_forced_merge_back_on_prewarmed_model(self, tiny_chip,
-                                                  small_workload):
-        """shared_table=False pins the historical merge-back protocol."""
-        tasks = self._tasks(tiny_chip, small_workload)
-        model = CostModel()
-        for task in tasks:
-            model.prewarm(small_workload.unique_shape_layers(),
-                          task.design.sub_accelerators)
-        backend = ProcessPoolBackend(jobs=2, cost_model=model,
-                                     shared_table=False)
-        results = backend.run(tasks)
-        # Workers recompute nothing (the shipped table covers every query),
-        # so even the merge-back protocol returns zero new entries.
-        assert backend.last_new_cache_entries == 0
         serial = SerialBackend().run(tasks)
         assert _result_summaries(results) == _result_summaries(serial)
