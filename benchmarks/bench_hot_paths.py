@@ -817,16 +817,13 @@ def bench_fleet(quick: bool) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 def bench_closed_loop(quick: bool) -> Dict[str, object]:
-    """Closed-loop engine cost over the a-priori planner, plus its gate.
+    """Closed-loop engine cost over the a-priori planner.
 
     The feedback loop pays for what the planner skips: per-chip service
     probes (one scheduler run per distinct (chip, model)) and the global
     event heap.  This section measures end-to-end ``simulate_online`` under
     Poisson traffic at 2 / 4 chips against the a-priori ``simulate`` of the
-    same workload, times a chip-death recovery run, and — as the gate
-    ``--check`` enforces — asserts the feedback-disabled loop reproduces the
-    a-priori dispatcher exactly (assignments and report summary), the
-    same equivalence the golden corpus pins per scenario.
+    same workload and times a chip-death recovery run.
     """
     streaming = streaming_suite("arvr-a", frames=1 if quick else 2)
     traffic = traffic_suite("arvr-a", "poisson", frames=1 if quick else 2)
@@ -840,16 +837,6 @@ def bench_closed_loop(quick: bool) -> Dict[str, object]:
     repeats = 3 if quick else 10
 
     fleet2 = Fleet.homogeneous(design, 2)
-    apriori = simulator.simulate(streaming, fleet2,
-                                 policy="earliest-completion")
-    reduced = simulator.simulate_online(streaming, fleet2,
-                                        policy="earliest-completion",
-                                        feedback=False)
-    online_matches_apriori = (
-        reduced.plan_result is not None
-        and reduced.plan_result.plan.assignments == apriori.plan.assignments
-        and reduced.plan_result.report.summary() == apriori.report.summary())
-
     sizes = [2, 4]
     apriori_s: List[float] = []
     online_s: List[float] = []
@@ -886,7 +873,6 @@ def bench_closed_loop(quick: bool) -> Dict[str, object]:
         "fault_recovery_s": fault_s,
         "fault_redispatched": recovery.stats.redispatched_frames,
         "fault_lost": len(recovery.stats.lost_frame_ids),
-        "online_matches_apriori": online_matches_apriori,
     }
 
 
@@ -944,9 +930,6 @@ def check_against_baseline(results: Dict[str, object],
     if not results["fleet"]["single_chip_identical"]:
         failures.append("the single-chip passthrough fleet diverged from the "
                         "bare serving simulator")
-    if not results["closed_loop"]["online_matches_apriori"]:
-        failures.append("the feedback-disabled online loop diverged from the "
-                        "a-priori dispatcher")
     return failures
 
 

@@ -436,31 +436,21 @@ class ProcessPoolBackend(_ResilientMixin):
     cost_model / scheduler:
         Parent-side cost model and scheduler configuration.  The scheduler is
         shipped to the workers so custom metrics/orderings are honoured.
-    chunk_size:
-        Tasks per worker chunk (fail-fast path only; the resilient path
-        dispatches per task so one fault charges one task); defaults to
-        spreading the tasks roughly two chunks per worker.
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default).
     retry_policy:
         Optional fault-tolerance budget; ``None`` keeps the historical
-        fail-fast chunked path.
+        fail-fast chunked path, which spreads the tasks roughly two chunks
+        per worker (the resilient path dispatches per task so one fault
+        charges one task).
     """
 
     def __init__(self, jobs: int = 2, cost_model: Optional[CostModel] = None,
                  scheduler: Optional[HeraldScheduler] = None,
-                 chunk_size: Optional[int] = None,
-                 start_method: Optional[str] = None,
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         if jobs < 1:
             raise SearchError(f"jobs must be >= 1 (got {jobs})")
-        if chunk_size is not None and chunk_size < 1:
-            raise SearchError(f"chunk_size must be >= 1 (got {chunk_size})")
         self.jobs = jobs
         self.cost_model = cost_model or CostModel()
         self.scheduler = scheduler or HeraldScheduler(self.cost_model)
-        self.chunk_size = chunk_size
-        self.start_method = start_method
         self.retry_policy = retry_policy
         self._shared_this_run = False
         self.chaos: Optional[ChaosSpec] = None
@@ -485,15 +475,15 @@ class ProcessPoolBackend(_ResilientMixin):
         _ensure_unique_task_ids(tasks)
         self._shared_this_run = self._table_is_shared(tasks)
         chunks = self._chunk(list(tasks))
-        context = multiprocessing.get_context(self.start_method)
         by_id: Dict[int, EvaluationResult] = {}
         self.last_cold_evaluations = 0
         self.last_cache_hits = 0
         self.last_new_cache_entries = 0
         try:
-            with context.Pool(processes=self.jobs, initializer=_init_worker,
-                              initargs=(self.cost_model, self.scheduler, None,
-                                        self._shared_this_run)) as pool:
+            with multiprocessing.Pool(
+                    processes=self.jobs, initializer=_init_worker,
+                    initargs=(self.cost_model, self.scheduler, None,
+                              self._shared_this_run)) as pool:
                 # imap_unordered so completed chunks merge as they arrive: an
                 # interrupt or worker death partway through still banks every
                 # finished chunk's results and memo entries below.
@@ -549,10 +539,8 @@ class ProcessPoolBackend(_ResilientMixin):
         return True
 
     def _make_executor(self) -> concurrent.futures.ProcessPoolExecutor:
-        context = multiprocessing.get_context(self.start_method)
         return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.jobs, mp_context=context,
-            initializer=_init_worker,
+            max_workers=self.jobs, initializer=_init_worker,
             initargs=(self.cost_model, self.scheduler, self.chaos,
                       self._shared_this_run))
 
@@ -697,7 +685,5 @@ class ProcessPoolBackend(_ResilientMixin):
         return ", ".join(parts)
 
     def _chunk(self, tasks: List[EvaluationTask]) -> List[List[EvaluationTask]]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, (len(tasks) + 2 * self.jobs - 1) // (2 * self.jobs))
+        size = max(1, (len(tasks) + 2 * self.jobs - 1) // (2 * self.jobs))
         return [tasks[start:start + size] for start in range(0, len(tasks), size)]

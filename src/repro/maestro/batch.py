@@ -28,13 +28,11 @@ this leans on:
   the scalar path consumes.
 
 numpy is optional: the probe below feeds :meth:`CostModel._use_vectorized`,
-and every caller falls back to the scalar estimator when numpy is missing or
-``REPRO_DISABLE_NUMPY`` is set (the no-numpy CI job pins that fallback).
+and every caller falls back to the scalar estimator when numpy is missing.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.units import BYTES_PER_ELEMENT
@@ -60,32 +58,17 @@ _numpy_probed = False
 
 
 def numpy_available() -> bool:
-    """Whether the vectorised path can run (numpy importable and not disabled).
-
-    The probe runs once and honours the ``REPRO_DISABLE_NUMPY`` environment
-    variable, which forces the scalar fallback even where numpy is installed
-    (used by the no-numpy CI job and the fallback tests).
-    """
+    """Whether the vectorised path can run (numpy importable; probed once)."""
     global _numpy, _numpy_probed
     if not _numpy_probed:
         _numpy_probed = True
-        if os.environ.get("REPRO_DISABLE_NUMPY"):
+        try:
+            import numpy
+        except ImportError:
             _numpy = None
         else:
-            try:
-                import numpy
-            except ImportError:
-                _numpy = None
-            else:
-                _numpy = numpy
+            _numpy = numpy
     return _numpy is not None
-
-
-def reset_numpy_probe() -> None:
-    """Re-run the numpy probe on next use (tests toggle ``REPRO_DISABLE_NUMPY``)."""
-    global _numpy, _numpy_probed
-    _numpy = None
-    _numpy_probed = False
 
 
 #: Entry cap of the per-(shape, style, PE budget) integer-row memo.

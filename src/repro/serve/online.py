@@ -17,16 +17,15 @@ policy code* runs a-priori (against the
 (against the :class:`ObservedView` backed by simulated chip queues).  Two
 consequences keep the subsystem honest:
 
-* **Equivalence** — with feedback disabled, :func:`estimate_dispatch` runs
-  the event loop (heap-ordered arrivals) against the estimate view and must
-  reproduce :meth:`DispatchPolicy.assign` bit-for-bit; the golden fleet
-  corpus pins this for every policy on all 40 scenarios.
+* **One a-priori driver** — estimate-driven dispatch is
+  :meth:`~repro.serve.router.Router.dispatch` alone; this module drives the
+  policies on observed state only.
 * **Conservation/liveness** — every generated frame is either completed on
   exactly one chip or explicitly recorded in ``lost_frame_ids`` (possible
   only when *no* chip is alive at a dispatch instant); the hypothesis
   harness pins both across random fleets, traffic processes and faults.
 
-In feedback mode each chip is modelled as a frame-serial queue server whose
+Each chip is modelled as a frame-serial queue server whose
 per-frame service time is **measured**, not estimated: the makespan of
 scheduling one frame alone on that chip with the real
 :class:`~repro.core.scheduler.HeraldScheduler` (deduplicated across
@@ -47,13 +46,13 @@ from repro.analysis.metrics import percentile
 from repro.exceptions import SearchError, SpecError, WorkloadError
 from repro.exec.tasks import EvaluationTask
 from repro.serve.faults import FaultSpec
-from repro.serve.fleet import ChipStats, Fleet, FleetReport, FleetResult
+from repro.serve.fleet import ChipStats, Fleet, FleetReport
 from repro.serve.router import (
     DispatchPolicy,
-    EstimateView,
     FrameCostEstimator,
     FrameRef,
 )
+from repro.serve.simulator import DEFAULT_DROP_DEADLINE_FACTOR
 from repro.serve.trace import FrameTrace
 from repro.serve.workload import StreamingWorkload
 from repro.validation import (
@@ -231,7 +230,6 @@ class OnlineStats:
     it; the a-priori report summary is unchanged.
     """
 
-    feedback: bool
     work_stealing: bool
     redispatched_frames: int
     stolen_frames: int
@@ -239,9 +237,13 @@ class OnlineStats:
     intervals: Tuple[AutoscaleInterval, ...] = ()
 
     def summary(self) -> Dict[str, object]:
-        """The stats as a strict-JSON-serializable dictionary."""
+        """The stats as a strict-JSON-serializable dictionary.
+
+        ``feedback`` is always 1.0 (the engine always dispatches on observed
+        state); the key stays so existing report files compare unchanged.
+        """
         return {
-            "feedback": float(self.feedback),
+            "feedback": 1.0,
             "work_stealing": float(self.work_stealing),
             "redispatched_frames": float(self.redispatched_frames),
             "stolen_frames": float(self.stolen_frames),
@@ -254,52 +256,12 @@ class OnlineStats:
 
 @dataclass(frozen=True)
 class OnlineFleetResult:
-    """Outcome of one closed-loop fleet simulation.
-
-    ``plan_result`` is populated only in the reduced (feedback-disabled)
-    regime, where the loop's dispatch decisions are compiled into an
-    ordinary dispatch plan and simulated layer-accurately — the object the
-    online-vs-a-priori equivalence pins compare bit-for-bit.
-    """
+    """Outcome of one closed-loop fleet simulation."""
 
     report: FleetReport
     assignments: Dict[Tuple[str, int], int]
     frames: Tuple[OnlineFrameRecord, ...]
     stats: OnlineStats
-    plan_result: Optional[FleetResult] = None
-
-
-# ---------------------------------------------------------------------------
-# Reduced regime: the event loop against the estimate view
-# ---------------------------------------------------------------------------
-def estimate_dispatch(policy: DispatchPolicy, frames: Sequence[FrameRef],
-                      service_tables: Sequence[Dict[str, float]]
-                      ) -> Dict[Tuple[str, int], int]:
-    """Heap-ordered arrival loop driving a policy on the estimate view.
-
-    The feedback-disabled online mode: frames arrive as timed events, the
-    policy chooses against the same :class:`EstimateView` the a-priori
-    driver uses, and the heap's tie-break (arrival-order sequence number)
-    matches :func:`~repro.serve.router.arrival_order` — so the resulting
-    assignment must equal :meth:`DispatchPolicy.assign` exactly, which the
-    golden corpus pins.
-    """
-    if not service_tables:
-        raise SearchError(
-            "cannot dispatch onto an empty fleet: no chips to route to "
-            "(the fleet has zero chips, or every chip is dead)")
-    heap = [(frame.release_s, _ARRIVAL, sequence, frame)
-            for sequence, frame in enumerate(frames)]
-    heapq.heapify(heap)
-    view = EstimateView(service_tables)
-    policy.begin(frames, service_tables)
-    assignments: Dict[Tuple[str, int], int] = {}
-    while heap:
-        now_s, _, _, frame = heapq.heappop(heap)
-        chip = policy.choose(frame, now_s, view)
-        view.commit(frame, chip)
-        assignments[(frame.model_name, frame.frame_index)] = chip
-    return assignments
 
 
 # ---------------------------------------------------------------------------
@@ -676,14 +638,13 @@ class OnlineEngine:
 # ---------------------------------------------------------------------------
 def build_online_result(streaming: StreamingWorkload, fleet: Fleet,
                         policy_name: str, outcome: OnlineOutcome,
-                        stats: OnlineStats,
-                        drop_deadline_factor: float) -> OnlineFleetResult:
+                        stats: OnlineStats) -> OnlineFleetResult:
     """Fold raw engine bookkeeping into a :class:`FleetReport`.
 
     The accounting mirrors the a-priori aggregation: a miss is the same
     strict ``latency > deadline``, a drop the same
-    ``latency > drop_deadline_factor * deadline``, percentiles pool the
-    completed frames' latencies.  Closed-loop chips are single queue
+    ``latency > DEFAULT_DROP_DEADLINE_FACTOR * deadline``, percentiles pool
+    the completed frames' latencies.  Closed-loop chips are single queue
     servers, so utilisation is ``busy_s / horizon_s`` per chip (not divided
     across sub-accelerator arrays).  Lost frames appear only in
     ``stats.lost_frame_ids`` — they have no latency.
@@ -712,7 +673,7 @@ def build_online_result(streaming: StreamingWorkload, fleet: Fleet,
         if latency > bound:
             missed.append(frame_id)
             counters["missed"] += 1
-        if latency > drop_deadline_factor * bound:
+        if latency > DEFAULT_DROP_DEADLINE_FACTOR * bound:
             counters["dropped"] += 1
         if outcome.start_s[frame_id] > frame.release_s:
             counters["backlogged"] += 1

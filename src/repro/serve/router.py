@@ -138,9 +138,8 @@ class EstimateView:
 
     Here every chip is permanently alive and ``available_at[c]`` is the
     estimated instant chip ``c``'s dispatched-but-unfinished work drains,
-    advanced by the *estimated* service time on every commit — exactly the
-    arithmetic the original one-shot policies used, so routing decisions are
-    bit-for-bit unchanged by the incremental refactor.
+    advanced by the *estimated* service time on every commit.  The fleet
+    golden corpus pins the resulting routing decisions for every policy.
     """
 
     def __init__(self, service_tables: Sequence[Dict[str, float]]) -> None:

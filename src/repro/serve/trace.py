@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.exceptions import WorkloadError
 
@@ -185,37 +185,6 @@ class FrameTrace:
         if self.fps <= 0.0:
             raise WorkloadError(
                 f"trace {self.model_name!r}: fps must be positive (got {self.fps})")
-
-    @classmethod
-    def merged(cls, traces: Sequence["FrameTrace"]) -> "FrameTrace":
-        """One trace holding every frame of several same-model traces.
-
-        The stream-churn compiler uses this to fold per-session bursts of
-        one model into the single stream a
-        :class:`~repro.serve.workload.StreamingWorkload` requires (model
-        names are unique per workload).  Releases are merged in sorted
-        order; the deadline must agree across inputs (frames of one model
-        share one SLA) and the nominal rates sum.
-        """
-        if not traces:
-            raise WorkloadError("cannot merge an empty sequence of traces")
-        model_names = {trace.model_name for trace in traces}
-        if len(model_names) != 1:
-            raise WorkloadError(
-                f"can only merge traces of one model "
-                f"(got {sorted(model_names)})")
-        deadlines = {trace.deadline_s for trace in traces}
-        if len(deadlines) != 1:
-            raise WorkloadError(
-                f"merged traces must share one deadline "
-                f"(got {sorted(deadlines)})")
-        return cls(
-            model_name=traces[0].model_name,
-            releases_s=tuple(sorted(
-                release for trace in traces for release in trace.releases_s)),
-            deadline_s=traces[0].deadline_s,
-            fps=sum(trace.fps for trace in traces),
-        )
 
     @property
     def frames(self) -> int:

@@ -506,9 +506,9 @@ def run_fleet_scenario(key: str, cost_model: CostModel) -> Dict[str, object]:
 def serialize_fleet_result(workload_name: str, result) -> Dict[str, object]:
     """Serialize a :class:`FleetResult` into the golden record shape.
 
-    Shared by the a-priori scenario runner and the online↔a-priori
-    equivalence test, which serializes the reduced-regime online result and
-    compares it against the checked-in a-priori record byte for byte.
+    Used by the a-priori scenario runner that generates and checks the fleet
+    corpus; the record includes ``report.summary()``, which carries no
+    ``online`` section for a-priori results.
     """
     chips: List[Dict[str, object]] = []
     for chip_result in result.chip_results:

@@ -98,8 +98,6 @@ class TestProcessPoolBackend:
     def test_rejects_bad_parameters(self):
         with pytest.raises(SearchError):
             ProcessPoolBackend(jobs=0)
-        with pytest.raises(SearchError):
-            ProcessPoolBackend(jobs=2, chunk_size=0)
 
     def test_matches_serial_backend_on_small_dse(self, small_workload, tiny_chip):
         serial_space = _make_dse(SerialBackend()).explore(

@@ -367,10 +367,6 @@ class TestFleetSimulator:
         with pytest.raises(ValueError, match="backend"):
             FleetSimulator(cost_model=model, backend=backend)
 
-    def test_drop_deadline_factor_validated(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            FleetSimulator(drop_deadline_factor=0.5)
-
     def test_empty_chips_get_empty_reports(self, fleet_cost_model):
         streaming = _mini_streaming()
         fleet = Fleet.homogeneous(golden_scheduler.build_fleet_chip(), 4)
@@ -459,60 +455,8 @@ class TestMinChipsForSla:
 
 
 # ---------------------------------------------------------------------------
-# Closed loop: online ↔ a-priori equivalence, online goldens, fault semantics
+# Closed loop: online goldens, fault semantics
 # ---------------------------------------------------------------------------
-class TestOnlineEquivalence:
-    """The reduced regime (feedback off) must BE the a-priori dispatcher.
-
-    ``simulate_online(feedback=False)`` routes every frame through the event
-    loop against the estimate ledger, then simulates the compiled plan
-    layer-accurately.  Serializing that result with the golden serializer
-    must reproduce every record of the checked-in 40-scenario a-priori
-    corpus byte for byte — same assignments, same per-chip timeline digests,
-    same aggregated report.
-    """
-
-    def test_reduced_regime_matches_every_fleet_golden(self, golden_fleet,
-                                                       fleet_cost_model):
-        simulator = _simulator(fleet_cost_model)
-        for key in golden_scheduler.fleet_scenario_keys():
-            config = golden_scheduler.parse_fleet_key(key)
-            streaming = golden_scheduler.build_fleet_streaming_workload(
-                config["workload"])
-            fleet = golden_scheduler.build_fleet(config["fleet"])
-            online = simulator.simulate_online(
-                streaming, fleet, policy=config["policy"], feedback=False)
-            assert online.plan_result is not None, key
-            assert not online.stats.feedback
-            record = golden_scheduler.serialize_fleet_result(
-                config["workload"], online.plan_result)
-            assert record == golden_fleet[key], key
-
-    def test_reduced_regime_report_has_no_online_section(self,
-                                                         fleet_cost_model):
-        streaming = golden_scheduler.build_fleet_streaming_workload("duo")
-        fleet = golden_scheduler.build_fleet("2homo")
-        online = _simulator(fleet_cost_model).simulate_online(
-            streaming, fleet, policy="least-outstanding", feedback=False)
-        assert "online" not in online.report.summary()
-
-    def test_feedback_disabled_rejects_faults(self, fleet_cost_model):
-        streaming = golden_scheduler.build_fleet_streaming_workload("duo")
-        fleet = golden_scheduler.build_fleet("2homo")
-        with pytest.raises(WorkloadError, match="feedback=True"):
-            _simulator(fleet_cost_model).simulate_online(
-                streaming, fleet, feedback=False,
-                faults=FaultSpec(failures=(ChipFailure(0, 1e-3),)))
-
-    def test_feedback_disabled_rejects_autoscale(self, fleet_cost_model):
-        streaming = golden_scheduler.build_fleet_streaming_workload("duo")
-        fleet = golden_scheduler.build_fleet("2homo")
-        with pytest.raises(WorkloadError, match="feedback=True"):
-            _simulator(fleet_cost_model).simulate_online(
-                streaming, fleet, feedback=False,
-                autoscale=AutoscalePolicy(interval_s=1e-3))
-
-
 class TestOnlineGolden:
     """The 10-scenario closed-loop corpus is pinned bit for bit."""
 

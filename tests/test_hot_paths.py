@@ -489,21 +489,18 @@ class TestVectorisedCostCore:
         assert (scalar.hits, scalar.misses) == (vector.hits, vector.misses)
 
     def test_forced_scalar_fallback_without_numpy(self):
-        """REPRO_DISABLE_NUMPY pins the scalar path, results unchanged."""
+        """A missing numpy pins the scalar path, results unchanged."""
         layers = [conv2d(f"c{i}", k=8 * (i + 1), c=4, y=16, x=16, r=3, s=3)
                   for i in range(9)]
         accs = [_sub(NVDLA, name="a0"), _sub(style=None, name="rda")]
         reference = CostModel(vectorized=False).batch_layer_costs(layers, accs)
         with pytest.MonkeyPatch.context() as patcher:
-            patcher.setenv("REPRO_DISABLE_NUMPY", "1")
-            batch_module.reset_numpy_probe()
-            try:
-                assert not batch_module.numpy_available()
-                forced = CostModel(vectorized=True)
-                table = forced.batch_layer_costs(layers, accs)
-            finally:
-                patcher.undo()
-                batch_module.reset_numpy_probe()
+            # Probe state of an interpreter where ``import numpy`` failed.
+            patcher.setattr(batch_module, "_numpy", None)
+            patcher.setattr(batch_module, "_numpy_probed", True)
+            assert not batch_module.numpy_available()
+            forced = CostModel(vectorized=True)
+            table = forced.batch_layer_costs(layers, accs)
         assert sorted(table) == sorted(reference)
         for entry, cost in table.items():
             assert _bitwise_fields(cost) == _bitwise_fields(reference[entry])

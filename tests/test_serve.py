@@ -341,8 +341,7 @@ class TestServingSimulator:
 
     def test_overloaded_stream_backlogs_and_drops(self, cost_model, accs):
         streaming = _mini_streaming(fps_a=5e6, fps_b=5e6)  # 200-cycle periods
-        simulator = ServingSimulator(HeraldScheduler(cost_model),
-                                     drop_deadline_factor=1.0)
+        simulator = ServingSimulator(HeraldScheduler(cost_model))
         report = simulator.simulate(streaming, accs).report
         assert report.missed_frames > 0
         assert report.backlogged_frames > 0
