@@ -50,7 +50,6 @@ from repro.exceptions import CheckpointError, SpecError, WorkloadError
 from repro.experiment.report import (
     compare_reports,
     load_report,
-    report_from_bench,
     write_report,
 )
 from repro.experiment.runner import run_experiment
@@ -295,9 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--tolerance", type=_float_at_least(0.0), default=0.0,
                       help="relative tolerance before a change counts as a "
                            "regression")
-    diff.add_argument("--bench", action="store_true",
-                      help="treat both files as bench_hot_paths baselines "
-                           "(BENCH_hotpaths.json) instead of reports")
     return parser
 
 
@@ -493,12 +489,8 @@ def _command_run(args: argparse.Namespace) -> int:
 
 def _command_report_diff(args: argparse.Namespace) -> int:
     try:
-        if args.bench:
-            current = report_from_bench(_load_bench(args.current))
-            baseline = report_from_bench(_load_bench(args.baseline))
-        else:
-            current = load_report(args.current)
-            baseline = load_report(args.baseline)
+        current = load_report(args.current)
+        baseline = load_report(args.baseline)
     except SpecError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -506,23 +498,6 @@ def _command_report_diff(args: argparse.Namespace) -> int:
                                  tolerance=args.tolerance)
     print(comparison.describe())
     return 0 if comparison.ok else 1
-
-
-def _load_bench(path: str) -> Dict[str, object]:
-    """Load a ``bench_hot_paths`` baseline JSON file."""
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            bench = json.load(handle)
-    except OSError as error:
-        raise SpecError(f"cannot read bench baseline {path!r}: "
-                        f"{error.strerror or error}") from None
-    except json.JSONDecodeError as error:
-        raise SpecError(f"{path}: malformed bench JSON ({error})") from None
-    if not isinstance(bench, dict):
-        raise SpecError(f"{path}: not a bench baseline (expected a mapping)")
-    return bench
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

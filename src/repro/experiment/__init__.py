@@ -21,7 +21,6 @@ from repro.experiment.report import (
     compare_reports,
     load_report,
     metric_direction,
-    report_from_bench,
     write_report,
 )
 from repro.experiment.runner import ExperimentOutcome, run_experiment
@@ -66,7 +65,6 @@ __all__ = [
     "load_report",
     "metric_direction",
     "parse_yamlish",
-    "report_from_bench",
     "run_experiment",
     "write_report",
 ]

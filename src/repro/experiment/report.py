@@ -13,10 +13,8 @@ by default; throughput-like names are higher-is-better), so "regression"
 means *worse*, not *different*: a p99 that shrinks or a sustained-FPS factor
 that grows never fails the gate.  ``herald run --baseline`` exits non-zero
 on any regression beyond tolerance, which is the CI report-diff job.
-
-:func:`report_from_bench` adapts the hot-path benchmark baseline
-(``BENCH_hotpaths.json``) into the same report format so one diff tool
-covers both correctness metrics and performance counters.
+:func:`load_report` rejects a report whose ``metrics`` are not all numbers,
+so a malformed baseline is bad input (exit 2), never a regression (exit 1).
 """
 
 from __future__ import annotations
@@ -34,9 +32,7 @@ REPORT_SCHEMA = "herald-report/1"
 
 #: Metric-name fragments that mark a metric as higher-is-better; everything
 #: else (latencies, energies, miss counts, imbalance) is lower-is-better.
-_HIGHER_IS_BETTER_FRAGMENTS = ("sustained", "utilisation", "utilization",
-                               "hit_rate", "speedup", "fps",
-                               "queries_per_s")
+_HIGHER_IS_BETTER_FRAGMENTS = ("sustained", "utilisation", "utilization", "fps")
 
 
 def metric_direction(name: str) -> str:
@@ -162,7 +158,11 @@ def write_report(report: Dict[str, object], path: str) -> None:
 
 
 def load_report(path: str) -> Dict[str, object]:
-    """Load a report file, checking the schema stamp."""
+    """Load a report file, checking the schema stamp and its metrics.
+
+    ``metrics`` must map names to numbers (a bool is not one), so a
+    malformed baseline is bad input rather than a regression.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             report = json.load(handle)
@@ -176,6 +176,14 @@ def load_report(path: str) -> Dict[str, object]:
                         f"(schema: {report.get('schema')!r})"
                         if isinstance(report, dict)
                         else f"{path}: not a {REPORT_SCHEMA} report")
+    metrics = report.get("metrics")
+    if not isinstance(metrics, dict):
+        raise SpecError(f"{path}: metrics must be a mapping of name to "
+                        f"number (got {type(metrics).__name__})")
+    for name, value in metrics.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SpecError(f"{path}: metric {name!r} is not a number "
+                            f"({value!r})")
     return report
 
 
@@ -200,39 +208,3 @@ def compare_reports(current: Dict[str, object], baseline: Dict[str, object],
     return ComparisonResult(deltas=deltas, missing=missing, added=added,
                             tolerance=tolerance)
 
-
-def report_from_bench(bench: Dict[str, object],
-                      name: str = "hot-paths") -> Dict[str, object]:
-    """Adapt a ``BENCH_hotpaths.json`` baseline into the report format.
-
-    Numeric leaves flatten into dotted metric names
-    (``cost_model.cold_speedup``); list-valued series flatten with their
-    index.  The result diffs with :func:`compare_reports` like any
-    experiment report.
-    """
-    metrics: Dict[str, float] = {}
-
-    def flatten(prefix: str, value: object) -> None:
-        if isinstance(value, bool):
-            return
-        if isinstance(value, (int, float)):
-            metrics[prefix] = float(value)
-        elif isinstance(value, dict):
-            for key in sorted(value):
-                flatten(f"{prefix}.{key}" if prefix else str(key),
-                        value[key])
-        elif isinstance(value, list):
-            for index, item in enumerate(value):
-                flatten(f"{prefix}[{index}]", item)
-
-    for key in sorted(bench):
-        if key in ("version", "mode", "python"):
-            continue
-        flatten(str(key), bench[key])
-    return build_report(
-        kind="bench", name=name,
-        config={"source": "bench_hot_paths", "mode": bench.get("mode"),
-                "version": bench.get("version")},
-        metrics=metrics,
-        details={"python": bench.get("python")},
-    )

@@ -368,14 +368,10 @@ class CostModel:
     def _use_vectorized(self, batch_size: int) -> bool:
         """Whether a batch of ``batch_size`` misses takes the numpy path.
 
-        Subclasses that override the scalar estimator (the hot-path benchmark
-        emulates the historical model that way) always stay scalar; otherwise
-        the :attr:`vectorized` knob decides, with auto mode requiring the
+        The :attr:`vectorized` knob decides, with auto mode requiring the
         batch to be worth numpy's per-call overhead.
         """
         if self.vectorized is False:
-            return False
-        if type(self)._estimate_on is not CostModel._estimate_on:
             return False
         from repro.maestro import batch as batch_module
         if not batch_module.numpy_available():

@@ -174,9 +174,9 @@ class StreamingWorkload:
         """Per-frame release cycles at ``clock_hz``, keyed by instance id.
 
         The one place the seconds-to-cycles conversion of the arrival trace
-        lives — the simulator, the evaluator, the golden harness, and the
-        benchmark all consume this (and :meth:`deadline_cycles`), so a change
-        to the conversion cannot silently fork the paths.
+        lives — the simulator, the evaluator and the golden harness all
+        consume this (and :meth:`deadline_cycles`), so a change to the
+        conversion cannot silently fork the paths.
         """
         return {instance_id: seconds_to_cycles(release, clock_hz)
                 for instance_id, release in self.release_times_s().items()}
@@ -234,8 +234,8 @@ def streaming_suite(suite_name: str, frames: int = 8, fps_scale: float = 1.0,
     frames at t=0, which is the steady-state shape of a real serving system;
     disabling it only zeroes those phases — later frames still arrive
     periodically, so the trace is never all-zero (build an explicit all-zero
-    release map, as the batch-equivalence tests and the benchmark gate do, to
-    reproduce the batch schedule bit-for-bit).
+    release map, as the batch-equivalence tests do, to reproduce the batch
+    schedule bit-for-bit).
     """
     if frames < 1:
         raise WorkloadError(f"frames must be >= 1 (got {frames})")

@@ -5,8 +5,9 @@ scheduler, incremental partition search) must not change a single scheduling
 decision or metric.  This module pins that contract: it defines a scenario
 matrix spanning workload topology (chain, diamond, UNet skip connections, a
 4-instance mixed AR/VR suite), every scheduler configuration axis (metric x
-ordering x load-balance x memory-limit x post-processing), and one full DSE
-ranking run, and serializes the resulting timelines deterministically.
+ordering x load-balance x memory-limit x post-processing), one full DSE
+ranking run and a reduced Fig. 11 sweep over the paper's workloads and
+accelerator classes, and serializes the resulting timelines deterministically.
 
 Run as a script to (re)generate the golden files from the current code:
 
@@ -33,6 +34,7 @@ _SRC = os.path.join(os.path.dirname(_HERE), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.accel.classes import ACCELERATOR_CLASSES
 from repro.accel.design import AcceleratorDesign, AcceleratorKind
 from repro.core.dse import HeraldDSE
 from repro.core.partitioner import PartitionSearch
@@ -50,10 +52,12 @@ from repro.serve.traffic import TrafficSpec
 from repro.serve.workload import StreamingWorkload
 from repro.units import gbps, mib
 from repro.workloads.spec import WorkloadSpec
+from repro.workloads.suites import WORKLOAD_SUITES
 
 GOLDEN_DIR = os.path.join(_HERE, "golden")
 TIMELINES_FILE = os.path.join(GOLDEN_DIR, "scheduler_timelines.json")
 DSE_FILE = os.path.join(GOLDEN_DIR, "dse_rankings.json")
+EXPLORE_FILE = os.path.join(GOLDEN_DIR, "explore_rankings.json")
 STREAMING_FILE = os.path.join(GOLDEN_DIR, "streaming_timelines.json")
 FLEET_FILE = os.path.join(GOLDEN_DIR, "fleet_timelines.json")
 ONLINE_FILE = os.path.join(GOLDEN_DIR, "online_timelines.json")
@@ -733,11 +737,50 @@ def run_dse(backend=None) -> List[List[str]]:
     dse = HeraldDSE(cost_model=cost_model, scheduler=scheduler,
                     partition_search=search, backend=backend)
     space = dse.explore(_dse_workload(), chip, include_three_way=False)
+    return _point_rows(space)
+
+
+def _point_rows(space) -> List[List[str]]:
     return [
         [point.category, point.design.name, repr(point.latency_s),
          repr(point.energy_mj), repr(point.edp)]
         for point in space.points
     ]
+
+
+#: The reduced Fig. 11 sweep pinned by :data:`EXPLORE_FILE`: every paper
+#: workload on every accelerator class, two-way HDAs on a coarse grid.
+EXPLORE_WORKLOADS = ("arvr-a", "arvr-b", "mlperf")
+EXPLORE_CLASSES = ("edge", "mobile", "cloud")
+
+
+def run_explore_rankings() -> Dict[str, Dict[str, object]]:
+    """The reduced Fig. 11 sweep through one shared engine.
+
+    One cost model, scheduler and partition search serve all nine
+    ``explore`` calls (memos carry across sub-plots, as in the full
+    sweep).  Each ``"<workload>/<class>"`` entry holds every point as a
+    :func:`run_dse`-style row plus the best design per category.
+    """
+    cost_model = CostModel()
+    scheduler = HeraldScheduler(cost_model)
+    search = PartitionSearch(cost_model=cost_model, scheduler=scheduler,
+                             pe_steps=4, bw_steps=2)
+    dse = HeraldDSE(cost_model=cost_model, scheduler=scheduler,
+                    partition_search=search)
+    rankings: Dict[str, Dict[str, object]] = {}
+    for workload_name in EXPLORE_WORKLOADS:
+        workload = WORKLOAD_SUITES[workload_name]()
+        for class_name in EXPLORE_CLASSES:
+            space = dse.explore(workload, ACCELERATOR_CLASSES[class_name],
+                                include_three_way=False)
+            rankings[f"{workload_name}/{class_name}"] = {
+                "best": {category: [space.best(category).design.name,
+                                    repr(space.best(category).edp)]
+                         for category in space.categories()},
+                "points": _point_rows(space),
+            }
+    return rankings
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +825,14 @@ def write_fleet_golden() -> None:
         handle.write("\n")
 
 
+def write_explore_golden() -> None:
+    """(Re)generate only the reduced Fig. 11 sweep rankings."""
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    with open(EXPLORE_FILE, "w") as handle:
+        json.dump(run_explore_rankings(), handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
 def write_online_golden() -> None:
     """(Re)generate only the closed-loop matrix (never the a-priori files)."""
     os.makedirs(GOLDEN_DIR, exist_ok=True)
@@ -801,6 +852,9 @@ if __name__ == "__main__":
     elif "--write-online" in sys.argv:
         write_online_golden()
         print(f"wrote {ONLINE_FILE}")
+    elif "--write-explore" in sys.argv:
+        write_explore_golden()
+        print(f"wrote {EXPLORE_FILE}")
     elif "--write-experiments" in sys.argv:
         write_experiments_golden()
         print(f"wrote {len(experiment_spec_files())} report(s) under "
@@ -825,6 +879,6 @@ if __name__ == "__main__":
     else:
         print("usage: python tests/golden_scheduler.py "
               "--write [--force] | --write-streaming | --write-fleet | "
-              "--write-online | --write-experiments",
+              "--write-online | --write-explore | --write-experiments",
               file=sys.stderr)
         raise SystemExit(2)

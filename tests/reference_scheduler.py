@@ -51,10 +51,9 @@ class Assignment:
 
 
 def empty_schedule(cost_model: CostModel,
-                   sub_accelerators: Sequence[SubAcceleratorConfig],
-                   schedule_cls=Schedule) -> Schedule:
+                   sub_accelerators: Sequence[SubAcceleratorConfig]) -> Schedule:
     """An empty schedule configured exactly as the production scheduler's."""
-    return schedule_cls(
+    return Schedule(
         sub_accelerator_names=tuple(acc.name for acc in sub_accelerators),
         clock_hz=sub_accelerators[0].clock_hz,
         idle_energy_pj_per_cycle_per_pe=(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.accel.builders import make_fda, make_hda, make_rda, make_smfda
-from repro.core.dse import HeraldDSE
+from repro.core.dse import DesignSpacePoint, DSEResult, HeraldDSE
 from repro.core.evaluator import evaluate_design, evaluate_designs
 from repro.core.greedy import GreedyScheduler
 from repro.core.partitioner import PartitionSearch, compositions
@@ -151,6 +151,18 @@ class TestHeraldDSE:
         overall = space.best()
         assert overall.edp <= space.best("fda").edp
         assert overall.edp == min(point.edp for point in space.points)
+
+    def test_best_breaks_edp_ties_in_enumeration_order(self, dse, small_workload,
+                                                       tiny_chip):
+        space = dse.explore(small_workload, tiny_chip)
+        first, second = space.by_category("fda")[:2]
+        twin = DesignSpacePoint(category="fda", design=second.design,
+                                result=first.result)
+        tied = DSEResult(workload_name=space.workload_name,
+                         chip_name=space.chip_name, points=[first, twin])
+        assert tied.best("fda") is first
+        tied.points.reverse()
+        assert tied.best("fda") is twin
 
     def test_best_unknown_category_raises(self, dse, small_workload, tiny_chip):
         space = dse.explore(small_workload, tiny_chip)

@@ -27,7 +27,6 @@ from repro.experiment import (
     compare_reports,
     load_report,
     metric_direction,
-    report_from_bench,
     write_report,
 )
 
@@ -206,20 +205,6 @@ class TestReports:
         assert result.added == ["c"]
         assert not result.ok  # a vanished baseline metric fails the gate
 
-    def test_report_from_bench_flattens_numeric_leaves(self):
-        bench = {
-            "version": 3, "mode": "quick", "python": "3.x",
-            "cost_model": {"cold_speedup": 2.0, "ok": True},
-            "series": {"values": [1.0, 2.5]},
-        }
-        report = report_from_bench(bench)
-        assert report["kind"] == "bench"
-        assert report["metrics"] == {
-            "cost_model.cold_speedup": 2.0,
-            "series.values[0]": 1.0,
-            "series.values[1]": 2.5,
-        }
-
 
 class TestRunCommand:
     def test_baseline_regression_exit_code(self, tmp_path, capsys):
@@ -246,6 +231,21 @@ class TestRunCommand:
         assert main(["run", spec_file, "--baseline", better_path,
                      "--tolerance", "2.0"]) == 0
         capsys.readouterr()
+
+    def test_malformed_baseline_metric_is_exit_2(self, tmp_path, capsys):
+        spec_file = _write_spec(tmp_path, {"kind": "schedule",
+                                           "design": "rda"})
+        report_path = str(tmp_path / "run.report.json")
+        assert main(["run", spec_file, "--report", report_path]) == 0
+        capsys.readouterr()
+        baseline = load_report(report_path)
+        baseline["metrics"]["latency_s"] = "fast"
+        bad_path = str(tmp_path / "bad.report.json")
+        write_report(baseline, bad_path)
+        assert main(["run", spec_file, "--baseline", bad_path]) == 2
+        error = capsys.readouterr().err
+        assert bad_path in error
+        assert "metric 'latency_s' is not a number ('fast')" in error
 
     def test_missing_file_is_exit_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.yaml")]) == 2
@@ -283,21 +283,25 @@ class TestReportDiffCommand:
         assert main(["report-diff", path, baseline_path]) == 1
         assert "REGRESSED" in capsys.readouterr().out
 
-    def test_bench_mode_diffs_hot_path_baselines(self, tmp_path, capsys):
-        bench = {"version": 3, "mode": "quick", "python": "3.x",
-                 "cost_model": {"cold_eval_s": 1.0}}
-        current_path = tmp_path / "bench_current.json"
-        current_path.write_text(json.dumps(bench), encoding="utf-8")
-        slower = dict(bench, cost_model={"cold_eval_s": 2.0})
-        slower_path = tmp_path / "bench_slower.json"
-        slower_path.write_text(json.dumps(slower), encoding="utf-8")
-
-        assert main(["report-diff", str(current_path), str(current_path),
-                     "--bench"]) == 0
+    @pytest.mark.parametrize("metrics, named", [
+        ({"energy_mj": "fast"}, "metric 'energy_mj' is not a number"),
+        ({"energy_mj": True}, "metric 'energy_mj' is not a number"),
+        ({"energy_mj": None}, "metric 'energy_mj' is not a number"),
+        ([1.0, 2.0], "metrics must be a mapping"),
+    ])
+    def test_malformed_baseline_metrics_are_exit_2(self, tmp_path, capsys,
+                                                   metrics, named):
+        path = str(tmp_path / "r.json")
+        assert main(["schedule", "--design", "rda", "--report", path]) == 0
         capsys.readouterr()
-        assert main(["report-diff", str(slower_path), str(current_path),
-                     "--bench"]) == 1
-        assert "cost_model.cold_eval_s" in capsys.readouterr().out
+        baseline = load_report(path)
+        baseline["metrics"] = (dict(baseline["metrics"], **metrics)
+                               if isinstance(metrics, dict) else metrics)
+        bad_path = str(tmp_path / "bad.json")
+        write_report(baseline, bad_path)
+        assert main(["report-diff", path, bad_path]) == 2
+        error = capsys.readouterr().err
+        assert bad_path in error and named in error
 
     def test_missing_report_is_exit_2(self, tmp_path, capsys):
         assert main(["report-diff", str(tmp_path / "a.json"),
