@@ -126,7 +126,7 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="N",
                         help="re-run a crashed / hung / transiently failing "
                              "task up to N times before recording a failure "
-                             "(default: fail fast on the first error)")
+                             "(default: 0; any failed task fails the run)")
     parser.add_argument("--task-timeout",
                         type=_float_at_least(0.0, exclusive=True),
                         default=None, metavar="SECONDS",

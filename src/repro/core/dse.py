@@ -297,17 +297,15 @@ class HeraldDSE:
     def _run_round(self, tasks: List["EvaluationTask"], result: DSEResult,
                    partial_ok: bool, checkpoint: Optional["SweepCheckpoint"],
                    scope: str) -> List[Tuple["EvaluationTask", EvaluationResult]]:
-        """Submit one round of tasks, via the resilient path when needed.
+        """Submit one round of tasks; the full outcome only when needed.
 
-        The plain ``backend.run`` path is kept for backends that only
-        implement the minimal protocol (and for the default configuration,
-        where it is bit-for-bit the historical behaviour).
+        Without ``partial_ok`` or a checkpoint the round goes through
+        ``backend.run``, which raises on any terminal failure.
         """
-        resilient = getattr(self.backend, "run_resilient", None)
-        if resilient is None or (not partial_ok and checkpoint is None):
+        if not partial_ok and checkpoint is None:
             return list(zip(tasks, self.backend.run(tasks)))
-        outcome = resilient(tasks, partial_ok=partial_ok,
-                            checkpoint=checkpoint, scope=scope)
+        outcome = self.backend.run_resilient(
+            tasks, partial_ok=partial_ok, checkpoint=checkpoint, scope=scope)
         result.failures = result.failures + outcome.failures
         result.resumed_tasks += outcome.resumed_tasks
         result.executed_tasks += outcome.executed_tasks

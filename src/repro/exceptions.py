@@ -54,7 +54,7 @@ class SpecError(ReproError):
 
 
 class WorkerCrash(ReproError):
-    """A worker process died (or a chaos backend simulated its death).
+    """A worker process died.
 
     Classified as a ``"crash"`` :class:`~repro.exec.resilience.TaskFailure`:
     the task did not misbehave by itself — the process executing it went away
@@ -63,21 +63,18 @@ class WorkerCrash(ReproError):
 
 
 class WorkerHang(ReproError):
-    """A task exceeded its execution-time budget (or a chaos backend
-    simulated the hang).
+    """A task exceeded its execution-time budget.
 
-    Classified as a ``"timeout"`` :class:`~repro.exec.resilience.TaskFailure`.
-    In a process pool the real mechanism is the stall watchdog killing the
-    hung worker; serial and chaos backends raise this exception directly so
-    the classification path is identical (and testable without sleeping).
+    Classified as a ``"timeout"`` :class:`~repro.exec.resilience.TaskFailure`,
+    the kind the process pool's stall watchdog and a chaos-injected hang
+    record too.
     """
 
 
 class TransientEvaluationError(ReproError):
     """A task evaluation failed in a way expected to succeed on retry.
 
-    The canonical retryable error (chaos injection raises it; user-supplied
-    evaluation code may too).  Classified as an ``"error"``
+    The canonical retryable error for evaluation code to raise.  Classified as an ``"error"``
     :class:`~repro.exec.resilience.TaskFailure` once retries are exhausted.
     """
 
@@ -85,8 +82,8 @@ class TransientEvaluationError(ReproError):
 class TaskExecutionError(ReproError):
     """One or more evaluation tasks failed after exhausting their retries.
 
-    Raised by ``ExecutionBackend.run`` when a retry policy is configured and
-    failures remain; carries the structured
+    Raised by ``ExecutionBackend.run`` when failures remain after the retry
+    budget (one attempt without a retry policy); carries the structured
     :class:`~repro.exec.resilience.TaskFailure` records so callers can log or
     surface exactly which tasks were lost.  Backends running in
     ``run_partial`` mode return the failures instead of raising.

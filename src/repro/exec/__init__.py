@@ -6,8 +6,9 @@ evaluations.  This package turns each evaluation into a declarative, picklable
 :class:`ExecutionBackend`:
 
 * :class:`SerialBackend` — in-process, one shared cost model (the default);
-* :class:`ProcessPoolBackend` — chunked ``multiprocessing`` fan-out with
-  cost-model warmth shipped to and recovered from the workers.
+* :class:`ProcessPoolBackend` — chunks of tasks fanned out over a
+  ``concurrent.futures`` process pool, with cost-model warmth shipped to
+  and recovered from the workers.
 
 The cost model's per-(layer shape, dataflow, hardware) memo lives in the
 parent process: a pool ships it to its workers and merges what they compute
@@ -16,14 +17,14 @@ back, so repeated runs in one process start warm.
 The resilience layer makes long sweeps survive their environment:
 :class:`RetryPolicy` gives both backends bounded retries, per-task timeout
 classification, and dead-worker recovery (terminal losses surface as
-structured :class:`TaskFailure` records); :class:`ChaosSpec` /
-:class:`ChaosBackend` inject deterministic seeded faults to test those paths
+structured :class:`TaskFailure` records); a :class:`ChaosSpec` passed to
+either backend injects deterministic seeded faults to test those paths
 bit-for-bit; :class:`SweepCheckpoint` persists completed results atomically
 so a killed sweep resumes exactly where it died.
 """
 
 from repro.exec.tasks import EvaluationTask, run_evaluation_task
-from repro.exec.chaos import ChaosBackend, ChaosSpec
+from repro.exec.chaos import ChaosSpec
 from repro.exec.checkpoint import (
     DEFAULT_SCOPE,
     SweepCheckpoint,
@@ -43,7 +44,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "ChaosBackend",
     "ChaosSpec",
     "SweepCheckpoint",
     "sweep_key_from",

@@ -6,7 +6,7 @@ The engine is deliberately small: a backend takes a list of
 Two implementations ship with the library:
 
 * :class:`SerialBackend` — evaluate in-process against one shared cost model.
-  This is the default everywhere and is bit-for-bit the historical behaviour.
+  This is the default everywhere.
 * :class:`ProcessPoolBackend` — fan the tasks out across worker processes.
   Each worker holds its own cost model, warm-started from the parent's
   memo; newly computed memo entries flow back with the results and are merged
@@ -19,50 +19,43 @@ backends produce identical design metrics; only wall-clock-derived fields
 Fault tolerance
 ---------------
 
-Both backends optionally run under a
-:class:`~repro.exec.resilience.RetryPolicy`.  Without one, :meth:`run` is the
-historical fail-fast path.  With one, a faulting task — a crashed worker, a
-hung attempt caught by the stall watchdog, a transient evaluation error —
-costs one *attempt*, is retried up to ``max_retries`` times with
-deterministic backoff, and only then becomes a structured
-:class:`~repro.exec.resilience.TaskFailure`.  :meth:`run` raises
+Both backends dispatch every run through one retry loop, budgeted by an
+optional :class:`~repro.exec.resilience.RetryPolicy` (none means one attempt
+per task).  A faulting task — a crashed worker, a hung attempt caught by the
+stall watchdog, a library error — costs one *attempt*, is retried up to
+``max_retries`` times with deterministic backoff, and only then becomes a
+structured :class:`~repro.exec.resilience.TaskFailure`.  :meth:`run` raises
 :class:`~repro.exceptions.TaskExecutionError` carrying those records;
 :meth:`run_resilient` with ``partial_ok=True`` returns them alongside the
-surviving results so a sweep can rank what completed.  :meth:`run_resilient`
-also threads an optional :class:`~repro.exec.checkpoint.SweepCheckpoint`:
-completed results are recorded as they arrive (resumable after a SIGKILL)
-and previously recorded tasks are served from the checkpoint without
-re-execution.
+surviving results so a sweep can rank what completed.  Errors that are not
+:class:`~repro.exceptions.ReproError` are programming errors and propagate
+unwrapped.  :meth:`run_resilient` also threads an optional
+:class:`~repro.exec.checkpoint.SweepCheckpoint`: completed results are
+recorded as they arrive (resumable after a SIGKILL) and previously recorded
+tasks are served from the checkpoint without re-execution.
 
-A :class:`~repro.exec.chaos.ChaosSpec` (installed by
-:class:`~repro.exec.chaos.ChaosBackend`) injects deterministic faults into
-these paths.  Simulated faults are decided at dispatch and raised in the
-parent — identical machinery for both backends, which is what makes
-chaos + retries reproduce the undisturbed serial results bit-for-bit.  With
-``real_faults=True`` the pool's workers misbehave for real (``os._exit``,
-over-budget sleeps), exercising the broken-pool rebuild and stall-watchdog
-recovery instead; the parent replays the same fault schedule to attribute
-the wreckage, charging attempts only to the tasks chaos actually targeted.
+A backend constructed with a :class:`~repro.exec.chaos.ChaosSpec` injects
+deterministic faults into this loop.  Simulated faults replace the attempt
+with the fault's record — one function decides them for both backends, which
+is what makes chaos + retries reproduce the undisturbed serial results
+bit-for-bit.  With ``real_faults=True`` the pool's workers misbehave for real
+(``os._exit``, over-budget sleeps), exercising the broken-pool rebuild and
+stall-watchdog recovery instead; the parent replays the same fault schedule
+to attribute the wreckage, charging attempts only to the tasks chaos actually
+targeted.
 """
 
 from __future__ import annotations
 
 import collections
 import concurrent.futures
-import multiprocessing
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
-from typing import Deque, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import (Callable, Deque, Dict, List, Optional, Protocol, Sequence,
+                    Set, Tuple)
 
-from repro.exceptions import (
-    ReproError,
-    SearchError,
-    TaskExecutionError,
-    TransientEvaluationError,
-    WorkerCrash,
-    WorkerHang,
-)
+from repro.exceptions import ReproError, SearchError, TaskExecutionError
 from repro.core.evaluator import EvaluationResult
 from repro.core.scheduler import HeraldScheduler
 from repro.maestro.cost import CostModel, LayerCost
@@ -76,6 +69,10 @@ from repro.exec.resilience import (
 )
 from repro.exec.tasks import EvaluationTask, run_evaluation_task
 
+#: ``(result, None, "")`` for a completed attempt, ``(None, kind, message)``
+#: for a faulted one.
+Attempt = Tuple[Optional[EvaluationResult], Optional[str], str]
+
 
 class ExecutionBackend(Protocol):
     """Protocol every execution backend implements."""
@@ -88,6 +85,13 @@ class ExecutionBackend(Protocol):
 
     def run(self, tasks: Sequence[EvaluationTask]) -> List[EvaluationResult]:
         """Execute ``tasks`` and return results in submission order."""
+        ...
+
+    def run_resilient(self, tasks: Sequence[EvaluationTask],
+                      partial_ok: bool = False,
+                      checkpoint: Optional[SweepCheckpoint] = None,
+                      scope: str = DEFAULT_SCOPE) -> ExecutionOutcome:
+        """Execute ``tasks`` and return the full outcome, failures included."""
         ...
 
     def describe(self) -> str:
@@ -134,16 +138,54 @@ def _failure_kind(chaos_kind: str) -> str:
     return "timeout" if chaos_kind == "hang" else chaos_kind
 
 
-class _ResilientMixin:
-    """The retry/chaos/checkpoint state machine shared by both backends.
+def _attempt(task: EvaluationTask, attempt: int, model: CostModel,
+             scheduler: HeraldScheduler, chaos: Optional[ChaosSpec],
+             misbehave: bool = False) -> Attempt:
+    """Run one attempt of ``task``; the per-attempt body of both backends.
 
-    Subclasses provide ``_execute_remaining(tasks, policy, outcome,
-    failures, checkpoint, scope)`` — the backend-specific dispatch loop —
-    and inherit the resume filtering, failure raising, and cleanup contract.
+    A chaos fault scheduled for this attempt replaces it with the fault's
+    record.  With ``misbehave`` (a pool worker under a ``real_faults`` spec)
+    the process first suffers the fault for real: ``os._exit`` leaves the
+    parent a broken pool to rebuild and an over-budget sleep trips its stall
+    watchdog.  Only library errors (:class:`~repro.exceptions.ReproError`)
+    become a faulted attempt — anything else is a programming error that
+    should surface as a traceback, not burn the retry budget.
+    """
+    fault = (chaos.fault_for(task.task_id, attempt)
+             if chaos is not None else None)
+    if fault is not None:
+        if misbehave and fault == "crash":
+            os._exit(3)
+        if misbehave and fault == "hang":
+            time.sleep(chaos.hang_sleep_s)
+        return (None, _failure_kind(fault),
+                _chaos_message(fault, task.task_id, attempt))
+    try:
+        return run_evaluation_task(task, model, scheduler), None, ""
+    except ReproError as error:
+        return None, classify_failure(error), str(error)
+
+
+class _ResilientMixin:
+    """The run/retry/checkpoint state machine shared by both backends.
+
+    Subclasses provide ``_execute_remaining(tasks, policy, record, charge)``
+    — the backend-specific dispatch loop — and inherit :meth:`run`, the
+    resume filtering, failure raising, counters and cleanup contract.
     """
 
-    retry_policy: Optional[RetryPolicy]
-    chaos: Optional[ChaosSpec]
+    def __init__(self, cost_model: Optional[CostModel] = None,
+                 scheduler: Optional[HeraldScheduler] = None,
+                 retry_policy: Optional[RetryPolicy] = None,
+                 chaos: Optional[ChaosSpec] = None) -> None:
+        self.cost_model = cost_model or CostModel()
+        self.scheduler = scheduler or HeraldScheduler(self.cost_model)
+        self.retry_policy = retry_policy
+        self.chaos = chaos
+        self.last_cold_evaluations = 0
+        self.last_cache_hits = 0
+        self.total_cold_evaluations = 0
+        self.total_cache_hits = 0
 
     def _effective_policy(self) -> RetryPolicy:
         if self.retry_policy is not None:
@@ -153,6 +195,14 @@ class _ResilientMixin:
             # covers the default ``max_faults_per_task`` so runs converge.
             return RetryPolicy()
         return RetryPolicy(max_retries=0)
+
+    def run(self, tasks: Sequence[EvaluationTask]) -> List[EvaluationResult]:
+        """Execute ``tasks`` and return results in submission order.
+
+        Raises :class:`~repro.exceptions.TaskExecutionError` when a task
+        exhausts its attempt budget (one attempt without a retry policy).
+        """
+        return self.run_resilient(tasks).ordered_results(tasks)
 
     def run_resilient(self, tasks: Sequence[EvaluationTask],
                       partial_ok: bool = False,
@@ -181,25 +231,62 @@ class _ResilientMixin:
             else:
                 remaining.append(task)
         failures: List[TaskFailure] = []
+
+        def record(task: EvaluationTask, result: EvaluationResult) -> None:
+            outcome.results[task.task_id] = result
+            outcome.executed_tasks += 1
+            if checkpoint is not None:
+                checkpoint.record(scope, task.task_id, result)
+
+        def charge(task: EvaluationTask, attempts: int, kind: str,
+                   message: str) -> bool:
+            """Book a failed attempt; true while the task may be retried."""
+            if attempts >= policy.max_attempts:
+                failures.append(TaskFailure(
+                    task_id=task.task_id, kind=kind, attempts=attempts,
+                    message=message, category=task.category))
+                return False
+            outcome.retried_attempts += 1
+            delay = policy.backoff_s(attempts)
+            if delay > 0.0:
+                time.sleep(delay)
+            return True
+
+        self.last_cold_evaluations = 0
+        self.last_cache_hits = 0
         try:
-            self._execute_remaining(remaining, policy, outcome, failures,
-                                    checkpoint, scope)
+            self._execute_remaining(remaining, policy, record, charge)
         finally:
+            self.total_cold_evaluations += self.last_cold_evaluations
+            self.total_cache_hits += self.last_cache_hits
             # Preserve completed work even on KeyboardInterrupt / errors, so
             # an interrupted sweep resumes where it died.
             if checkpoint is not None:
                 checkpoint.flush()
-        outcome.failures = tuple(failures)
+        # Submission order, however the backend's completions interleaved.
+        position = {task.task_id: index for index, task in enumerate(tasks)}
+        outcome.failures = tuple(
+            sorted(failures, key=lambda failure: position[failure.task_id]))
         if failures and not partial_ok:
-            raise TaskExecutionError(failures)
+            raise TaskExecutionError(outcome.failures)
         return outcome
 
-    def _execute_remaining(self, tasks: Sequence[EvaluationTask],
-                           policy: RetryPolicy, outcome: ExecutionOutcome,
-                           failures: List[TaskFailure],
-                           checkpoint: Optional[SweepCheckpoint],
-                           scope: str) -> None:
+    def _execute_remaining(
+            self, tasks: Sequence[EvaluationTask], policy: RetryPolicy,
+            record: Callable[[EvaluationTask, EvaluationResult], None],
+            charge: Callable[[EvaluationTask, int, str, str], bool]) -> None:
         raise NotImplementedError
+
+    def _label(self) -> str:
+        raise NotImplementedError
+
+    def describe(self) -> str:
+        parts = [self._label()]
+        if self.retry_policy is not None:
+            parts.append(self.retry_policy.describe())
+        if self.chaos is not None:
+            parts.append(self.chaos.describe())
+        return ", ".join(parts)
 
 
 class SerialBackend(_ResilientMixin):
@@ -213,103 +300,37 @@ class SerialBackend(_ResilientMixin):
         Scheduler used for every task; defaults to Herald's scheduler on the
         shared cost model.
     retry_policy:
-        Optional fault-tolerance budget.  ``None`` keeps the historical
-        fail-fast behaviour.  Serially there is no process to kill, so
+        Optional fault-tolerance budget; ``None`` gives each task one
+        attempt.  Serially there is no process to kill, so
         ``task_timeout_s`` only classifies chaos-injected hangs; crashes and
         transient errors are retried exactly like the pool retries them.
+    chaos:
+        Optional deterministic fault schedule.  The serial backend always
+        simulates its faults, ``real_faults`` included.
     """
 
-    def __init__(self, cost_model: Optional[CostModel] = None,
-                 scheduler: Optional[HeraldScheduler] = None,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
-        self.cost_model = cost_model or CostModel()
-        self.scheduler = scheduler or HeraldScheduler(self.cost_model)
-        self.retry_policy = retry_policy
-        self.chaos: Optional[ChaosSpec] = None
-        self.last_cold_evaluations = 0
-        self.last_cache_hits = 0
-        self.total_cold_evaluations = 0
-        self.total_cache_hits = 0
-
-    def run(self, tasks: Sequence[EvaluationTask]) -> List[EvaluationResult]:
-        """Execute ``tasks`` one after another on the shared cost model."""
-        if self.retry_policy is None and self.chaos is None:
-            _ensure_unique_task_ids(tasks)
-            misses_before = self.cost_model.misses
-            hits_before = self.cost_model.hits
-            results = [run_evaluation_task(task, self.cost_model, self.scheduler)
-                       for task in tasks]
-            self.last_cold_evaluations = self.cost_model.misses - misses_before
-            self.last_cache_hits = self.cost_model.hits - hits_before
-            self.total_cold_evaluations += self.last_cold_evaluations
-            self.total_cache_hits += self.last_cache_hits
-            return results
-        outcome = self.run_resilient(tasks)
-        return outcome.ordered_results(tasks)
-
-    def _execute_remaining(self, tasks: Sequence[EvaluationTask],
-                           policy: RetryPolicy, outcome: ExecutionOutcome,
-                           failures: List[TaskFailure],
-                           checkpoint: Optional[SweepCheckpoint],
-                           scope: str) -> None:
+    def _execute_remaining(self, tasks, policy, record, charge) -> None:
         misses_before = self.cost_model.misses
         hits_before = self.cost_model.hits
         try:
             for task in tasks:
                 attempt = 0
                 while True:
-                    result, kind, message = self._attempt(task, attempt)
+                    result, kind, message = _attempt(
+                        task, attempt, self.cost_model, self.scheduler,
+                        self.chaos)
                     if kind is None:
-                        outcome.results[task.task_id] = result
-                        outcome.executed_tasks += 1
-                        if checkpoint is not None:
-                            checkpoint.record(scope, task.task_id, result)
+                        record(task, result)
                         break
                     attempt += 1
-                    if attempt >= policy.max_attempts:
-                        failures.append(TaskFailure(
-                            task_id=task.task_id, kind=kind, attempts=attempt,
-                            message=message, category=task.category))
+                    if not charge(task, attempt, kind, message):
                         break
-                    outcome.retried_attempts += 1
-                    delay = policy.backoff_s(attempt)
-                    if delay > 0.0:
-                        time.sleep(delay)
         finally:
             self.last_cold_evaluations = self.cost_model.misses - misses_before
             self.last_cache_hits = self.cost_model.hits - hits_before
-            self.total_cold_evaluations += self.last_cold_evaluations
-            self.total_cache_hits += self.last_cache_hits
 
-    def _attempt(self, task: EvaluationTask, attempt: int
-                 ) -> Tuple[Optional[EvaluationResult], Optional[str], str]:
-        """Run one attempt; returns ``(result, None, "")`` on success or
-        ``(None, kind, message)`` on a fault.
-
-        Only library errors (:class:`~repro.exceptions.ReproError`) are
-        retryable — anything else is a programming error that should surface
-        as a traceback, not burn the retry budget.
-        """
-        fault = (self.chaos.fault_for(task.task_id, attempt)
-                 if self.chaos is not None else None)
-        if fault is not None:
-            return (None, _failure_kind(fault),
-                    _chaos_message(fault, task.task_id, attempt))
-        try:
-            result = run_evaluation_task(task, self.cost_model, self.scheduler)
-        except (WorkerCrash, WorkerHang, TransientEvaluationError) as error:
-            return None, classify_failure(error), str(error)
-        except ReproError as error:
-            return None, "error", str(error)
-        return result, None, ""
-
-    def describe(self) -> str:
-        parts = ["serial (in-process)"]
-        if self.retry_policy is not None:
-            parts.append(self.retry_policy.describe())
-        if self.chaos is not None:
-            parts.append(self.chaos.describe())
-        return ", ".join(parts)
+    def _label(self) -> str:
+        return "serial (in-process)"
 
 
 # ---------------------------------------------------------------------------
@@ -351,79 +372,58 @@ def _unsent_entries(model: CostModel) -> List[Tuple[Tuple, LayerCost]]:
     return new_entries
 
 
-def _run_chunk(tasks: Sequence[EvaluationTask]
-               ) -> Tuple[List[Tuple[int, EvaluationResult]],
-                          List[Tuple[Tuple, LayerCost]], int, int]:
-    """Worker body: evaluate one chunk, returning results and new memo entries."""
-    model: CostModel = _WORKER_STATE["model"]
-    scheduler: HeraldScheduler = _WORKER_STATE["scheduler"]
-    hits_before = model.hits
-    misses_before = model.misses
-    results = [(task.task_id, run_evaluation_task(task, model, scheduler))
-               for task in tasks]
-    new_entries = _unsent_entries(model)
-    return results, new_entries, model.hits - hits_before, model.misses - misses_before
+def _run_pool_tasks(pairs: Sequence[Tuple[EvaluationTask, int]]
+                    ) -> Tuple[List[Attempt], List[Tuple[Tuple, LayerCost]],
+                               int, int]:
+    """Worker body: run one submission of ``(task, attempt)`` pairs.
 
-
-def _run_pool_task(task: EvaluationTask, attempt: int
-                   ) -> Tuple[int, EvaluationResult,
-                              List[Tuple[Tuple, LayerCost]], int, int]:
-    """Worker body of the resilient path: one task, one attempt.
-
-    With a ``real_faults`` chaos spec installed, the worker misbehaves for
-    real: ``os._exit`` leaves the parent a broken pool to rebuild, an
-    over-budget sleep trips the parent's stall watchdog, and a transient
-    error travels back through the future.  The parent replays the same
-    deterministic schedule to attribute the first two, which cannot carry
-    their own exception across a dead process.
+    Returns one :data:`Attempt` per pair — a library error costs only its own
+    task an attempt, never its neighbours — plus the memo entries computed
+    and the hit/miss deltas.  A ``real_faults`` chaos spec makes the worker
+    misbehave for real; the parent replays the same deterministic schedule
+    to attribute a dead or hung worker, which cannot report its own fault.
     """
     model: CostModel = _WORKER_STATE["model"]
     scheduler: HeraldScheduler = _WORKER_STATE["scheduler"]
-    chaos: Optional[ChaosSpec] = _WORKER_STATE.get("chaos")  # type: ignore[assignment]
-    if chaos is not None and chaos.real_faults:
-        fault = chaos.fault_for(task.task_id, attempt)
-        if fault == "crash":
-            os._exit(3)
-        elif fault == "hang":
-            time.sleep(chaos.hang_sleep_s)
-            raise WorkerHang(_chaos_message("hang", task.task_id, attempt))
-        elif fault == "error":
-            raise TransientEvaluationError(
-                _chaos_message("error", task.task_id, attempt))
+    chaos: Optional[ChaosSpec] = _WORKER_STATE["chaos"]  # type: ignore[assignment]
+    misbehave = chaos is not None and chaos.real_faults
     hits_before = model.hits
     misses_before = model.misses
-    result = run_evaluation_task(task, model, scheduler)
+    attempts = [_attempt(task, attempt, model, scheduler, chaos, misbehave)
+                for task, attempt in pairs]
     new_entries = _unsent_entries(model)
-    return (task.task_id, result, new_entries,
+    return (attempts, new_entries,
             model.hits - hits_before, model.misses - misses_before)
 
 
 class ProcessPoolBackend(_ResilientMixin):
     """Evaluate tasks on a pool of worker processes.
 
-    Without a retry policy, tasks are split into contiguous chunks and
-    streamed through ``multiprocessing.Pool.imap_unordered``; chunk results
-    are merged as they arrive, so an interrupt mid-sweep still banks every
-    completed chunk's memo entries into the parent model before the
-    exception propagates.  Every worker starts from a copy of the parent's
-    cost model; new memo entries computed in the workers are shipped back
-    and merged into the parent model, so a subsequent run — serial or
-    parallel — starts warm.  When the parent memo already covers every
-    (shape, hardware) pair the submitted tasks read (the state
-    :meth:`HeraldDSE.explore`'s prewarm establishes), the table is instead
-    treated as shared and read-mostly: it ships once with the pool
-    initializer and the per-task merge-back pickling is skipped entirely.
-    Skipping it never affects results.
+    Tasks travel in chunks of ``ceil(len(tasks) / (2 * jobs))`` ``(task,
+    attempt)`` pairs — roughly two per worker — through a
+    ``concurrent.futures`` executor with at most ``2 * jobs`` submissions in
+    flight; results are merged as each chunk arrives, so an interrupt
+    mid-sweep still banks every completed chunk's results and memo entries.
+    Every worker starts from a copy of the parent's cost model; new memo
+    entries computed in the workers are shipped back and merged into the
+    parent model, so a subsequent run — serial or parallel — starts warm.
+    When the parent memo already covers every (shape, hardware) pair the
+    submitted tasks read (the state :meth:`HeraldDSE.explore`'s prewarm
+    establishes), the table is instead treated as shared and read-mostly: it
+    ships once with the pool initializer and the merge-back pickling is
+    skipped entirely.  Skipping it never affects results.
 
-    With a retry policy, tasks are dispatched one future at a time through a
-    ``concurrent.futures`` executor with a bounded in-flight window.  A dead
-    worker breaks the pool; the backend rebuilds it and charges a ``crash``
-    attempt to the in-flight tasks (under real-fault chaos, only to the
-    tasks the deterministic schedule actually targeted — the innocent
-    bystanders are re-dispatched for free).  A stall — no completion within
-    ``task_timeout_s`` — kills the worker processes, rebuilds, and charges a
-    ``timeout`` attempt the same way.  Tasks whose budget is exhausted
-    become :class:`~repro.exec.resilience.TaskFailure` records.
+    A library error inside a chunk costs only its own task an attempt.  A
+    dead worker breaks the pool, and a stall — no submission completing
+    within ``task_timeout_s`` times the longest in-flight chunk — kills the
+    workers; either way the backend rebuilds the pool.  A lost multi-task
+    chunk charges nobody: its members are re-queued and, from then on,
+    dispatched one per submission, so a repeat fault implicates exactly its
+    own task.  A lost single-task submission is charged a ``crash`` or
+    ``timeout`` attempt (under real-fault chaos, only if the deterministic
+    schedule actually targeted it — the innocent bystanders are
+    re-dispatched for free).  Tasks whose budget is exhausted become
+    :class:`~repro.exec.resilience.TaskFailure` records.
 
     A fresh pool is created per :meth:`run` call and the parent's memo is
     pickled into every worker, so per-call overhead grows with the memo size;
@@ -437,68 +437,27 @@ class ProcessPoolBackend(_ResilientMixin):
         Parent-side cost model and scheduler configuration.  The scheduler is
         shipped to the workers so custom metrics/orderings are honoured.
     retry_policy:
-        Optional fault-tolerance budget; ``None`` keeps the historical
-        fail-fast chunked path, which spreads the tasks roughly two chunks
-        per worker (the resilient path dispatches per task so one fault
-        charges one task).
+        Optional fault-tolerance budget; ``None`` gives each task one
+        attempt.
+    chaos:
+        Optional deterministic fault schedule, shipped to the workers.
     """
 
     def __init__(self, jobs: int = 2, cost_model: Optional[CostModel] = None,
                  scheduler: Optional[HeraldScheduler] = None,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
+                 retry_policy: Optional[RetryPolicy] = None,
+                 chaos: Optional[ChaosSpec] = None) -> None:
         if jobs < 1:
             raise SearchError(f"jobs must be >= 1 (got {jobs})")
+        super().__init__(cost_model, scheduler, retry_policy, chaos)
         self.jobs = jobs
-        self.cost_model = cost_model or CostModel()
-        self.scheduler = scheduler or HeraldScheduler(self.cost_model)
-        self.retry_policy = retry_policy
         self._shared_this_run = False
-        self.chaos: Optional[ChaosSpec] = None
-        self.last_cold_evaluations = 0
-        self.last_cache_hits = 0
         self.last_new_cache_entries = 0
-        self.total_cold_evaluations = 0
-        self.total_cache_hits = 0
         #: Executor rebuilds forced by dead or hung workers (diagnostics).
         self.pool_rebuilds = 0
 
-    def run(self, tasks: Sequence[EvaluationTask]) -> List[EvaluationResult]:
-        """Execute ``tasks`` across the worker pool, preserving order."""
-        if self.retry_policy is not None or self.chaos is not None:
-            outcome = self.run_resilient(tasks)
-            return outcome.ordered_results(tasks)
-        if not tasks:
-            self.last_cold_evaluations = 0
-            self.last_cache_hits = 0
-            self.last_new_cache_entries = 0
-            return []
-        _ensure_unique_task_ids(tasks)
-        self._shared_this_run = self._table_is_shared(tasks)
-        chunks = self._chunk(list(tasks))
-        by_id: Dict[int, EvaluationResult] = {}
-        self.last_cold_evaluations = 0
-        self.last_cache_hits = 0
-        self.last_new_cache_entries = 0
-        try:
-            with multiprocessing.Pool(
-                    processes=self.jobs, initializer=_init_worker,
-                    initargs=(self.cost_model, self.scheduler, None,
-                              self._shared_this_run)) as pool:
-                # imap_unordered so completed chunks merge as they arrive: an
-                # interrupt or worker death partway through still banks every
-                # finished chunk's results and memo entries below.
-                for output in pool.imap_unordered(_run_chunk, chunks):
-                    self._merge_chunk(output, by_id)
-        finally:
-            self.total_cold_evaluations += self.last_cold_evaluations
-            self.total_cache_hits += self.last_cache_hits
-        return [by_id[task.task_id] for task in tasks]
-
-    def _merge_chunk(self, output, by_id: Dict[int, EvaluationResult]) -> None:
-        results, new_entries, hits, misses = output
-        for task_id, result in results:
-            by_id[task_id] = result
-        self._merge_back(new_entries, hits, misses)
+    def _label(self) -> str:
+        return f"process pool ({self.jobs} jobs)"
 
     def _merge_back(self, new_entries: List[Tuple[Tuple, LayerCost]],
                     hits: int, misses: int) -> None:
@@ -509,9 +468,6 @@ class ProcessPoolBackend(_ResilientMixin):
         self.last_cache_hits += hits
         self.last_cold_evaluations += misses
 
-    # ------------------------------------------------------------------
-    # Resilient path
-    # ------------------------------------------------------------------
     def _table_is_shared(self, tasks: Sequence[EvaluationTask]) -> bool:
         """Whether this run's memo travels to the workers read-mostly.
 
@@ -556,134 +512,105 @@ class ProcessPoolBackend(_ResilientMixin):
                 pass
         executor.shutdown(wait=False)
 
-    def _execute_remaining(self, tasks: Sequence[EvaluationTask],
-                           policy: RetryPolicy, outcome: ExecutionOutcome,
-                           failures: List[TaskFailure],
-                           checkpoint: Optional[SweepCheckpoint],
-                           scope: str) -> None:
-        if not tasks:
-            self.last_cold_evaluations = 0
-            self.last_cache_hits = 0
-            self.last_new_cache_entries = 0
-            return
-        self.last_cold_evaluations = 0
-        self.last_cache_hits = 0
+    def _execute_remaining(self, tasks, policy, record, charge) -> None:
         self.last_new_cache_entries = 0
+        if not tasks:
+            return
         self._shared_this_run = self._table_is_shared(tasks)
+        window = 2 * self.jobs
+        size = -(-len(tasks) // window)
         attempts: Dict[int, int] = {task.task_id: 0 for task in tasks}
         queue: Deque[EvaluationTask] = collections.deque(tasks)
+        #: Members of a lost multi-task chunk, dispatched alone from then on.
+        alone: Set[int] = set()
         in_flight: Dict[concurrent.futures.Future,
-                        Tuple[EvaluationTask, int]] = {}
-        window = 2 * self.jobs
+                        List[Tuple[EvaluationTask, int]]] = {}
         chaos = self.chaos
-        simulated = chaos is not None and not chaos.real_faults
         real = chaos is not None and chaos.real_faults
 
-        def charge(task: EvaluationTask, kind: str, message: str) -> None:
+        def fault(task: EvaluationTask, kind: str, message: str) -> None:
             attempts[task.task_id] += 1
-            count = attempts[task.task_id]
-            if count >= policy.max_attempts:
-                failures.append(TaskFailure(
-                    task_id=task.task_id, kind=kind, attempts=count,
-                    message=message, category=task.category))
-                return
-            outcome.retried_attempts += 1
-            delay = policy.backoff_s(count)
-            if delay > 0.0:
-                time.sleep(delay)
-            queue.append(task)
+            if charge(task, attempts[task.task_id], kind, message):
+                queue.append(task)
 
-        def record(task: EvaluationTask, payload) -> None:
-            _, result, new_entries, hits, misses = payload
-            self._merge_back(new_entries, hits, misses)
-            outcome.results[task.task_id] = result
-            outcome.executed_tasks += 1
-            if checkpoint is not None:
-                checkpoint.record(scope, task.task_id, result)
+        def next_pairs() -> List[Tuple[EvaluationTask, int]]:
+            pairs: List[Tuple[EvaluationTask, int]] = []
+            while queue and len(pairs) < size:
+                if queue[0].task_id in alone and pairs:
+                    break
+                task = queue.popleft()
+                pairs.append((task, attempts[task.task_id]))
+                if task.task_id in alone:
+                    break
+            return pairs
 
         def settle_wreckage(kind: str) -> None:
-            """Charge or re-dispatch every in-flight task after a pool loss.
+            """Re-queue or charge every in-flight task after a pool loss.
 
             The pool dies as a unit, so innocent tasks are caught in the
-            blast.  Under real-fault chaos the parent replays the schedule
-            and only charges the targeted tasks; otherwise the fault is
-            genuine and every in-flight task is (conservatively) charged.
+            blast.  A multi-task chunk cannot tell who caused it, so its
+            members go back free and run alone.  A lone task is charged:
+            under real-fault chaos only if the replayed schedule targeted
+            it, otherwise (a genuine fault) conservatively.
             """
-            for future, (task, attempt) in list(in_flight.items()):
+            for future, pairs in in_flight.items():
                 future.cancel()
-                if real and chaos.fault_for(task.task_id, attempt) == kind:
-                    charge(task, _failure_kind(kind),
-                           _chaos_message(kind, task.task_id, attempt))
-                elif real:
-                    queue.append(task)  # bystander: free re-dispatch
+                if len(pairs) > 1:
+                    alone.update(task.task_id for task, _ in pairs)
+                    queue.extend(task for task, _ in pairs)
+                    continue
+                task, attempt = pairs[0]
+                if not real:
+                    fault(task, kind, f"worker pool lost task {task.task_id} "
+                                      f"(attempt {attempt}): {kind}")
+                elif chaos.fault_for(task.task_id, attempt) == kind:
+                    fault(task, _failure_kind(kind),
+                          _chaos_message(kind, task.task_id, attempt))
                 else:
-                    charge(task, kind,
-                           f"worker pool lost task {task.task_id} "
-                           f"(attempt {attempt}): {kind}")
+                    queue.append(task)  # bystander: free re-dispatch
             in_flight.clear()
 
         executor = self._make_executor()
         try:
             while queue or in_flight:
                 while queue and len(in_flight) < window:
-                    task = queue.popleft()
-                    attempt = attempts[task.task_id]
-                    if simulated:
-                        fault = chaos.fault_for(task.task_id, attempt)
-                        if fault is not None:
-                            charge(task, _failure_kind(fault),
-                                   _chaos_message(fault, task.task_id, attempt))
-                            continue
-                    future = executor.submit(_run_pool_task, task, attempt)
-                    in_flight[future] = (task, attempt)
-                if not in_flight:
-                    continue
-                done, _ = concurrent.futures.wait(
-                    in_flight, timeout=policy.task_timeout_s,
-                    return_when=concurrent.futures.FIRST_COMPLETED)
-                if not done:
-                    # Stall watchdog: nothing completed within the budget, so
-                    # the workers are presumed hung.  Kill and rebuild.
-                    self._kill_executor(executor)
-                    self.pool_rebuilds += 1
-                    settle_wreckage("hang" if real else "timeout")
-                    executor = self._make_executor()
-                    continue
-                broken = False
-                for future in done:
-                    task, attempt = in_flight.pop(future)
+                    pairs = next_pairs()
                     try:
-                        payload = future.result()
+                        future = executor.submit(_run_pool_tasks, pairs)
                     except BrokenProcessPool:
-                        broken = True
-                        in_flight[future] = (task, attempt)
-                    except (WorkerCrash, WorkerHang,
-                            TransientEvaluationError) as error:
-                        charge(task, classify_failure(error), str(error))
-                    except ReproError as error:
-                        charge(task, "error", str(error))
-                    else:
-                        record(task, payload)
-                if broken:
-                    # The whole pool died with the crashed worker; every
-                    # unfinished future is wreckage of the same event.
+                        # A worker died since the last wait; the wait below
+                        # returns its broken future at once.
+                        queue.extendleft(task for task, _ in reversed(pairs))
+                        break
+                    in_flight[future] = pairs
+                timeout = policy.task_timeout_s
+                if timeout is not None:
+                    timeout *= max(len(pairs) for pairs in in_flight.values())
+                done, _ = concurrent.futures.wait(
+                    in_flight, timeout=timeout,
+                    return_when=concurrent.futures.FIRST_COMPLETED)
+                # Stall watchdog: nothing completed within the budget, so
+                # the workers are presumed hung.
+                lost = None if done else ("hang" if real else "timeout")
+                for future in done:
+                    try:
+                        outcomes, new_entries, hits, misses = future.result()
+                    except BrokenProcessPool:
+                        lost = "crash"
+                        continue
+                    self._merge_back(new_entries, hits, misses)
+                    for (task, _), (result, kind, message) in zip(
+                            in_flight.pop(future), outcomes):
+                        if kind is None:
+                            record(task, result)
+                        else:
+                            fault(task, kind, message)
+                if lost is not None:
+                    # The pool is lost as a unit, hung or broken by a crashed
+                    # worker; every unfinished future is wreckage of that.
                     self._kill_executor(executor)
                     self.pool_rebuilds += 1
-                    settle_wreckage("crash")
+                    settle_wreckage(lost)
                     executor = self._make_executor()
         finally:
             self._kill_executor(executor)
-            self.total_cold_evaluations += self.last_cold_evaluations
-            self.total_cache_hits += self.last_cache_hits
-
-    def describe(self) -> str:
-        parts = [f"process pool ({self.jobs} jobs)"]
-        if self.retry_policy is not None:
-            parts.append(self.retry_policy.describe())
-        if self.chaos is not None:
-            parts.append(self.chaos.describe())
-        return ", ".join(parts)
-
-    def _chunk(self, tasks: List[EvaluationTask]) -> List[List[EvaluationTask]]:
-        size = max(1, (len(tasks) + 2 * self.jobs - 1) // (2 * self.jobs))
-        return [tasks[start:start + size] for start in range(0, len(tasks), size)]

@@ -17,29 +17,25 @@ crashes, hangs, and transient errors into any backend and still assert
   on *every* attempt — which is how the ``partial_ok`` degraded-mode paths
   are pinned.
 
-:class:`ChaosBackend` is the user-facing wrapper: it installs a spec on any
-backend and delegates everything else, so chaos composes with checkpoints
-and both execution strategies.
+Both backends take a spec as their ``chaos`` constructor argument, so chaos
+composes with checkpoints and both execution strategies.
 
-By default faults are *simulated* at the dispatch layer (the backend raises
-:class:`~repro.exceptions.WorkerCrash` / :class:`~repro.exceptions.WorkerHang`
-/ :class:`~repro.exceptions.TransientEvaluationError` instead of running the
-attempt), which exercises the classification/retry/charge machinery without
-sleeping or killing processes.  ``real_faults=True`` makes process-pool
-workers misbehave for real — ``os._exit`` for crashes (the parent sees a
-broken pool and rebuilds it), an over-budget sleep for hangs (the parent's
-stall watchdog fires) — for integration tests of the genuine recovery paths.
+By default faults are *simulated*: the backend records a faulted attempt
+(``crash`` / ``timeout`` / ``error``) instead of running it, which exercises
+the classification/retry/charge machinery without sleeping or killing
+processes.  ``real_faults=True`` makes process-pool workers misbehave for
+real — ``os._exit`` for crashes (the parent sees a broken pool and rebuilds
+it), an over-budget sleep for hangs (the parent's stall watchdog fires) —
+for integration tests of the genuine recovery paths.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence
+from typing import FrozenSet, List, Optional
 
-from repro.core.evaluator import EvaluationResult
 from repro.exceptions import SearchError
-from repro.exec.tasks import EvaluationTask
 
 #: Fault kinds a chaos decision can produce, in threshold order.
 CHAOS_KINDS = ("crash", "hang", "error")
@@ -151,42 +147,3 @@ class ChaosSpec:
                 f"hang={self.hang_rate:g} error={self.error_rate:g} "
                 f"maxfaults={self.max_faults_per_task}{doomed} ({mode})")
 
-
-class ChaosBackend:
-    """Wrap any execution backend with a deterministic fault schedule.
-
-    The wrapper installs its :class:`ChaosSpec` on the inner backend (whose
-    retry loop consults it on every attempt) and delegates everything else,
-    so the wrapped backend keeps its checkpoint and counter behaviour.
-    Removing the wrapper — or using a spec with all-zero rates — restores
-    the undisturbed run exactly.
-    """
-
-    def __init__(self, inner, spec: ChaosSpec) -> None:
-        self.inner = inner
-        self.spec = spec
-        inner.chaos = spec
-
-    @property
-    def cost_model(self):
-        return self.inner.cost_model
-
-    @property
-    def scheduler(self):
-        return self.inner.scheduler
-
-    def run(self, tasks: Sequence[EvaluationTask]) -> List[EvaluationResult]:
-        return self.inner.run(tasks)
-
-    def run_resilient(self, tasks: Sequence[EvaluationTask], **kwargs):
-        return self.inner.run_resilient(tasks, **kwargs)
-
-    def describe(self) -> str:
-        # The inner backend already reports the chaos spec (we attached it
-        # via ``inner.chaos``), so delegating avoids repeating it.
-        return self.inner.describe()
-
-    def __getattr__(self, name: str):
-        # Counters and backend-specific knobs pass straight through so the
-        # wrapper is observationally the inner backend.
-        return getattr(self.inner, name)

@@ -37,7 +37,7 @@ FAILURE_KINDS = ("crash", "timeout", "error")
 def classify_failure(error: BaseException) -> str:
     """Map an exception to its :data:`FAILURE_KINDS` entry.
 
-    :class:`~repro.exceptions.WorkerCrash` (real or simulated process death)
+    :class:`~repro.exceptions.WorkerCrash` (a process death)
     is a ``"crash"``; :class:`~repro.exceptions.WorkerHang` (budget exceeded)
     is a ``"timeout"``; everything else — transient evaluation errors
     included — is an ``"error"``.
@@ -59,10 +59,12 @@ class RetryPolicy:
         Extra attempts after the first (``0`` = fail on the first fault; the
         total attempt budget is ``max_retries + 1``).
     task_timeout_s:
-        Execution-time budget per attempt.  In the process pool this is the
-        stall watchdog: when no in-flight task completes for this long, every
-        in-flight task is charged a ``"timeout"`` attempt and the hung
-        workers are killed and replaced.  ``None`` disables the watchdog.
+        Execution-time budget per task attempt.  In the process pool this
+        drives the stall watchdog, whose budget is per chunk: when no
+        in-flight chunk completes within ``task_timeout_s`` times the longest
+        in-flight chunk's task count, the hung workers are killed and
+        replaced, and the in-flight tasks are re-queued or charged a
+        ``"timeout"`` attempt.  ``None`` disables the watchdog.
     backoff_base_s:
         Deterministic exponential backoff: attempt ``k`` (1-based retry)
         waits ``backoff_base_s * 2**(k - 1)`` seconds before re-dispatch.

@@ -131,8 +131,8 @@ class ExecSettings:
     partial_ok: bool = False
 
     def retry_policy(self) -> Optional["RetryPolicy"]:
-        """The retry policy these settings imply, or None for legacy
-        fail-fast execution."""
+        """The retry policy these settings imply, or None for one attempt
+        per task."""
         if self.max_retries is None and self.task_timeout_s is None:
             return None
         from repro.exec import RetryPolicy

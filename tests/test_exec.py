@@ -13,14 +13,16 @@ from repro.core.evaluator import evaluate_design, evaluate_designs
 from repro.core.partitioner import PartitionSearch
 from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.styles import NVDLA, SHIDIANNAO
-from repro.exceptions import SearchError
+from repro.exceptions import SchedulingError, SearchError, TaskExecutionError
 from repro.exec import (
     EvaluationTask,
     ProcessPoolBackend,
     SerialBackend,
+    TaskFailure,
     run_evaluation_task,
 )
 from repro.maestro.cost import CostModel
+from repro.workloads.spec import WorkloadSpec
 
 
 def _make_dse(backend=None, cost_model=None):
@@ -139,6 +141,55 @@ class TestProcessPoolBackend:
         backend = ProcessPoolBackend(jobs=2)
         with pytest.raises(SearchError, match="duplicate task_id"):
             backend.run(tasks)
+
+
+class _FailingWorkload(WorkloadSpec):
+    """A workload whose expansion raises ``error`` when a task evaluates it.
+
+    Shape enumeration still works, so the parent-side checks a backend runs
+    before dispatch pass and the error surfaces inside the evaluation.
+    """
+
+    error = SchedulingError("no instance fits")
+
+    def instances(self):
+        raise self.error
+
+
+class _BuggyWorkload(_FailingWorkload):
+    error = ValueError("a bug, not a fault")
+
+
+_BACKENDS = [pytest.param(SerialBackend, id="serial"),
+             pytest.param(lambda: ProcessPoolBackend(jobs=2), id="pool")]
+
+
+class TestErrorSurfaceParity:
+    """Without retries or chaos, both backends surface task errors alike."""
+
+    def _tasks(self, chip, workload, failing_cls):
+        failing = failing_cls(workload.name, list(workload.entries),
+                              dict(workload.models))
+        return [EvaluationTask(0, make_fda(chip, NVDLA), workload),
+                EvaluationTask(1, make_fda(chip, SHIDIANNAO), failing,
+                               category="fda")]
+
+    @pytest.mark.parametrize("make_backend", _BACKENDS)
+    def test_library_error_is_one_failure_record(self, make_backend,
+                                                 tiny_chip, small_workload):
+        tasks = self._tasks(tiny_chip, small_workload, _FailingWorkload)
+        with pytest.raises(TaskExecutionError) as excinfo:
+            make_backend().run(tasks)
+        assert excinfo.value.failures == (TaskFailure(
+            task_id=1, kind="error", attempts=1, message="no instance fits",
+            category="fda"),)
+
+    @pytest.mark.parametrize("make_backend", _BACKENDS)
+    def test_programming_error_propagates_unwrapped(self, make_backend,
+                                                    tiny_chip, small_workload):
+        tasks = self._tasks(tiny_chip, small_workload, _BuggyWorkload)
+        with pytest.raises(ValueError, match="a bug, not a fault"):
+            make_backend().run(tasks)
 
 
 class TestEvaluateDesignsSchedulerReuse:

@@ -3,7 +3,8 @@
 Three contracts:
 
 * the in-tree YAML subset parses experiment-shaped documents exactly like
-  PyYAML does (checked directly against PyYAML when it is installed);
+  PyYAML does (checked directly against PyYAML when it is installed), and
+  it is the only YAML parser ``load_config`` uses;
 * a malformed spec fails with the *dotted path* of the offending value as
   the message prefix — pinned exactly, since those strings are the user
   interface of ``herald run``;
@@ -12,7 +13,10 @@ Three contracts:
   ``repr`` serialisation, never via re-rounded human units).
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -31,7 +35,7 @@ from repro.core.partitioner import PartitionSearch, search_from_spec, search_to_
 from repro.dataflow import ALL_STYLES, EYERISS, NVDLA, SHIDIANNAO
 from repro.exceptions import SpecError
 from repro.experiment import ExperimentSpec, experiment_from_spec, parse_yamlish
-from repro.experiment.yamlish import YamlishError
+from repro.experiment.yamlish import YamlishError, load_config
 from repro.maestro.hardware import ChipConfig
 from repro.serve.faults import ChipFailure, FaultSpec, SlowdownWindow, faults_from_spec, faults_to_spec
 from repro.serve.fleet import Fleet, fleet_from_spec, fleet_to_spec
@@ -137,6 +141,26 @@ class TestYamlSubset:
     def test_malformed_inline_collection_rejected(self):
         with pytest.raises(YamlishError, match="malformed inline collection"):
             parse_yamlish("a: [1, 2\n")
+
+    def test_load_config_reads_scalars_with_the_in_tree_parser(self, tmp_path):
+        # PyYAML reads these as '1e3', 10 and True; an experiment file must
+        # mean the same whether or not PyYAML is installed.
+        path = tmp_path / "scalars.yaml"
+        path.write_text("exp: 1e3\nlead: 012\nyes_: yes\non_: on\n"
+                        "title: True\nflag: true\n", encoding="utf-8")
+        assert load_config(str(path)) == {
+            "exp": 1000.0, "lead": 12, "yes_": "yes", "on_": "on",
+            "title": "True", "flag": True}
+
+    def test_cli_import_does_not_load_pyyaml(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        completed = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('yaml' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            universal_newlines=True, check=True)
+        assert completed.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

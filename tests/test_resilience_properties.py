@@ -41,7 +41,6 @@ from repro.exceptions import (
     WorkerHang,
 )
 from repro.exec import (
-    ChaosBackend,
     ChaosSpec,
     EvaluationTask,
     ProcessPoolBackend,
@@ -95,9 +94,9 @@ class TestChaosTransparency:
                                            crash, hang, error, max_faults):
         spec = ChaosSpec(seed=seed, crash_rate=crash, hang_rate=hang,
                          error_rate=error, max_faults_per_task=max_faults)
-        inner = SerialBackend(cost_model=_COST_MODEL,
-                              retry_policy=RetryPolicy(max_retries=max_faults))
-        chaotic = ChaosBackend(inner, spec)
+        chaotic = SerialBackend(cost_model=_COST_MODEL,
+                                retry_policy=RetryPolicy(max_retries=max_faults),
+                                chaos=spec)
         assert _metrics(chaotic.run(task_bag)) == baseline
 
     @settings(max_examples=25, deadline=None)
@@ -115,14 +114,13 @@ class TestChaosTransparency:
     def test_pool_simulated_chaos_matches_baseline(self, task_bag, baseline):
         spec = ChaosSpec(seed=7, crash_rate=0.35, hang_rate=0.2,
                          error_rate=0.2, max_faults_per_task=2)
-        inner = ProcessPoolBackend(jobs=2, cost_model=CostModel(),
-                                   retry_policy=RetryPolicy(max_retries=2))
-        chaotic = ChaosBackend(inner, spec)
+        chaotic = ProcessPoolBackend(jobs=2, cost_model=CostModel(),
+                                     retry_policy=RetryPolicy(max_retries=2),
+                                     chaos=spec)
         assert _metrics(chaotic.run(task_bag)) == baseline
 
     def test_zero_rate_chaos_changes_nothing(self, task_bag, baseline):
-        chaotic = ChaosBackend(SerialBackend(cost_model=_COST_MODEL),
-                               ChaosSpec(seed=3))
+        chaotic = SerialBackend(cost_model=_COST_MODEL, chaos=ChaosSpec(seed=3))
         outcome = chaotic.run_resilient(task_bag)
         assert _metrics(outcome.ordered_results(task_bag)) == baseline
         assert outcome.retried_attempts == 0
@@ -236,9 +234,9 @@ class TestPartialRankings:
                                                     doomed):
         doomed = {i for i in doomed if i < len(task_bag)}
         spec = ChaosSpec(seed=1, doomed_task_ids=frozenset(doomed))
-        backend = ChaosBackend(
-            SerialBackend(cost_model=_COST_MODEL,
-                          retry_policy=RetryPolicy(max_retries=1)), spec)
+        backend = SerialBackend(cost_model=_COST_MODEL,
+                                retry_policy=RetryPolicy(max_retries=1),
+                                chaos=spec)
         outcome = backend.run_resilient(task_bag, partial_ok=True)
 
         assert set(outcome.failed_task_ids) == doomed
@@ -258,7 +256,7 @@ class TestPartialRankings:
     def test_all_tasks_doomed_yields_empty_results(self, task_bag):
         spec = ChaosSpec(seed=5, doomed_task_ids=frozenset(
             task.task_id for task in task_bag))
-        backend = ChaosBackend(SerialBackend(cost_model=_COST_MODEL), spec)
+        backend = SerialBackend(cost_model=_COST_MODEL, chaos=spec)
         outcome = backend.run_resilient(task_bag, partial_ok=True)
         assert outcome.results == {}
         assert len(outcome.failures) == len(task_bag)
@@ -270,9 +268,9 @@ class TestPartialRankings:
 class TestRetryExhaustion:
     def test_doomed_task_exhausts_exact_attempt_budget(self, task_bag):
         spec = ChaosSpec(seed=2, doomed_task_ids=frozenset({1}))
-        backend = ChaosBackend(
-            SerialBackend(cost_model=_COST_MODEL,
-                          retry_policy=RetryPolicy(max_retries=2)), spec)
+        backend = SerialBackend(cost_model=_COST_MODEL,
+                                retry_policy=RetryPolicy(max_retries=2),
+                                chaos=spec)
         with pytest.raises(TaskExecutionError) as excinfo:
             backend.run(task_bag)
         failures = excinfo.value.failures
@@ -286,16 +284,16 @@ class TestRetryExhaustion:
 
     def test_partial_ok_returns_instead_of_raising(self, task_bag):
         spec = ChaosSpec(seed=2, doomed_task_ids=frozenset({1}))
-        backend = ChaosBackend(
-            SerialBackend(cost_model=_COST_MODEL,
-                          retry_policy=RetryPolicy(max_retries=0)), spec)
+        backend = SerialBackend(cost_model=_COST_MODEL,
+                                retry_policy=RetryPolicy(max_retries=0),
+                                chaos=spec)
         outcome = backend.run_resilient(task_bag, partial_ok=True)
         assert outcome.failed_task_ids == (1,)
         assert outcome.failures[0].attempts == 1
 
     def test_failure_summary_is_json_serializable(self, task_bag):
         spec = ChaosSpec(seed=2, doomed_task_ids=frozenset({0}))
-        backend = ChaosBackend(SerialBackend(cost_model=_COST_MODEL), spec)
+        backend = SerialBackend(cost_model=_COST_MODEL, chaos=spec)
         outcome = backend.run_resilient(task_bag[:1], partial_ok=True)
         row = outcome.failures[0].summary()
         assert json.loads(json.dumps(row)) == row
@@ -325,7 +323,7 @@ class TestFailureClassification:
     def test_chaos_hang_is_recorded_as_timeout(self, task_bag):
         # The simulated hang must classify like the real stall watchdog.
         spec = ChaosSpec(seed=0, hang_rate=1.0, doomed_task_ids=frozenset({0}))
-        backend = ChaosBackend(SerialBackend(cost_model=_COST_MODEL), spec)
+        backend = SerialBackend(cost_model=_COST_MODEL, chaos=spec)
         outcome = backend.run_resilient(task_bag[:1], partial_ok=True)
         assert outcome.failures[0].kind == "timeout"
         assert "chaos-injected hang" in outcome.failures[0].message
@@ -333,7 +331,7 @@ class TestFailureClassification:
     def test_chaos_crash_is_recorded_as_crash(self, task_bag):
         spec = ChaosSpec(seed=0, crash_rate=1.0,
                          doomed_task_ids=frozenset({0}))
-        backend = ChaosBackend(SerialBackend(cost_model=_COST_MODEL), spec)
+        backend = SerialBackend(cost_model=_COST_MODEL, chaos=spec)
         outcome = backend.run_resilient(task_bag[:1], partial_ok=True)
         assert outcome.failures[0].kind == "crash"
 
@@ -359,32 +357,58 @@ class TestRealPoolRecovery:
         # The schedule must actually contain a crash for the test to bite.
         assert any(spec.fault_for(task.task_id, 0) == "crash"
                    for task in task_bag)
-        inner = ProcessPoolBackend(jobs=2, cost_model=CostModel(),
-                                   retry_policy=RetryPolicy(max_retries=1))
-        chaotic = ChaosBackend(inner, spec)
-        assert _metrics(chaotic.run(task_bag)) == baseline
-        assert inner.pool_rebuilds >= 1
+        pool = ProcessPoolBackend(jobs=2, cost_model=CostModel(),
+                                  retry_policy=RetryPolicy(max_retries=1),
+                                  chaos=spec)
+        assert _metrics(pool.run(task_bag)) == baseline
+        assert pool.pool_rebuilds >= 1
 
     def test_stall_watchdog_recovers_real_hang(self, task_bag, baseline):
         spec = ChaosSpec(seed=4, hang_rate=0.45, max_faults_per_task=1,
                          real_faults=True, hang_sleep_s=20.0)
         assert any(spec.fault_for(task.task_id, 0) == "hang"
                    for task in task_bag)
-        inner = ProcessPoolBackend(
+        pool = ProcessPoolBackend(
             jobs=2, cost_model=CostModel(),
-            retry_policy=RetryPolicy(max_retries=1, task_timeout_s=1.0))
-        chaotic = ChaosBackend(inner, spec)
-        assert _metrics(chaotic.run(task_bag)) == baseline
-        assert inner.pool_rebuilds >= 1
+            retry_policy=RetryPolicy(max_retries=1, task_timeout_s=1.0),
+            chaos=spec)
+        assert _metrics(pool.run(task_bag)) == baseline
+        assert pool.pool_rebuilds >= 1
+
+    def test_faults_in_multi_task_chunks_match_serial(self, task_bag):
+        # Three copies of the bag on two workers: chunks of several tasks, so
+        # a real crash or hang takes innocent neighbours down with it.  Only
+        # the targeted tasks may be charged, exactly as serially.
+        bag = [EvaluationTask(copy * len(task_bag) + task.task_id,
+                              task.design, task.workload,
+                              category=task.category)
+               for copy in range(3) for task in task_bag]
+        assert len(bag) > 2 * 2
+        spec = ChaosSpec(seed=5, crash_rate=0.2, hang_rate=0.1,
+                         max_faults_per_task=1, real_faults=True,
+                         hang_sleep_s=20.0, doomed_task_ids=frozenset({2}))
+        faults = [spec.fault_for(task.task_id, 0) for task in bag]
+        assert "crash" in faults and "hang" in faults
+        policy = RetryPolicy(max_retries=1, task_timeout_s=1.0)
+        serial = SerialBackend(cost_model=_COST_MODEL, retry_policy=policy,
+                               chaos=spec).run_resilient(bag, partial_ok=True)
+        pool = ProcessPoolBackend(jobs=2, cost_model=CostModel(),
+                                  retry_policy=policy, chaos=spec)
+        pooled = pool.run_resilient(bag, partial_ok=True)
+        assert pool.pool_rebuilds >= 1
+        assert _metrics(r for _, r in pooled.completed(bag)) == \
+            _metrics(r for _, r in serial.completed(bag))
+        assert pooled.failures == serial.failures
+        assert pooled.failures and pooled.retried_attempts > 0
+        assert pooled.retried_attempts == serial.retried_attempts
 
     def test_pool_failure_records_match_serial_records(self, task_bag):
         # Terminal failures must be identical no matter which backend lost
         # the task (same kind, same attempts, same message).
         spec = ChaosSpec(seed=2, doomed_task_ids=frozenset({0, 3}))
-        serial = ChaosBackend(SerialBackend(cost_model=_COST_MODEL), spec)
+        serial = SerialBackend(cost_model=_COST_MODEL, chaos=spec)
         serial_out = serial.run_resilient(task_bag, partial_ok=True)
-        pool = ChaosBackend(ProcessPoolBackend(jobs=2, cost_model=CostModel()),
-                            spec)
+        pool = ProcessPoolBackend(jobs=2, cost_model=CostModel(), chaos=spec)
         pool_out = pool.run_resilient(task_bag, partial_ok=True)
         assert sorted(f.summary().items() for f in pool_out.failures) == \
             sorted(f.summary().items() for f in serial_out.failures)
@@ -404,7 +428,7 @@ class TestUpperLayers:
 
     def test_partial_dse_reports_failures(self, small_workload, tiny_chip):
         spec = ChaosSpec(seed=6, doomed_task_ids=frozenset({0}))
-        backend = ChaosBackend(SerialBackend(cost_model=CostModel()), spec)
+        backend = SerialBackend(cost_model=CostModel(), chaos=spec)
         space = self._dse(backend).explore(small_workload, tiny_chip,
                                            include_three_way=False,
                                            partial_ok=True)
@@ -447,7 +471,7 @@ class TestUpperLayers:
             "mini", streams=[StreamSpec(model_name, fps=100.0, frames=2)],
             models={model_name: small_workload.model_graph(model_name)})
         spec = ChaosSpec(seed=0, doomed_task_ids=frozenset({1}))
-        backend = ChaosBackend(SerialBackend(cost_model=CostModel()), spec)
+        backend = SerialBackend(cost_model=CostModel(), chaos=spec)
         simulator = FleetSimulator(backend=backend)
         result = simulator.simulate(streaming, fleet, partial_ok=True)
         assert len(result.report.failed_chips) == 1
