@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import defaultdict
+from itertools import compress
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -35,13 +36,15 @@ from repro.units import cycles_to_seconds, picojoules_to_millijoules
 #: real imbalance is >= 1.0, so the sentinel is unambiguous.
 LOAD_IMBALANCE_UNUSED_SENTINEL = -1.0
 
+_ENERGY_PJ = operator.attrgetter("energy_pj")
+
 
 class ScheduledLayer:
     """One layer execution placed on one sub-accelerator.
 
-    A ``__slots__`` value class rather than a dataclass: a DSE sweep builds
-    one instance per layer execution per candidate design, making
-    construction cost part of the scheduling hot path.  Instances compare by
+    The record :meth:`Schedule.add` takes and the read-only view of one row
+    that :attr:`Schedule.entries` builds on demand; a schedule itself stores
+    no per-row objects.  A ``__slots__`` value class: instances compare by
     value and are immutable by convention.
 
     Attributes
@@ -95,13 +98,6 @@ class ScheduledLayer:
                 f"start_cycle={self.start_cycle!r}, "
                 f"finish_cycle={self.finish_cycle!r}, cost={self.cost!r})")
 
-    def __getstate__(self) -> Tuple:
-        return self._astuple()
-
-    def __setstate__(self, state: Tuple) -> None:
-        (self.layer, self.instance_id, self.layer_index, self.sub_accelerator,
-         self.start_cycle, self.finish_cycle, self.cost) = state
-
     @property
     def duration_cycles(self) -> float:
         """Execution duration in cycles."""
@@ -124,6 +120,15 @@ class ScheduledLayer:
 class Schedule:
     """A complete layer-execution schedule for one workload on one design.
 
+    The timeline is stored as parallel columns in commit order, one row per
+    layer execution: layer, instance id, layer index, sub-accelerator index
+    (into :attr:`sub_accelerator_names`), start cycle, finish cycle and cost.
+    A sweep keeps one schedule per candidate design alive, and the columns
+    are a handful of GC-tracked containers where per-row objects would be
+    hundreds.  Rows are only appended, by :meth:`add` or the scheduler, so
+    accounting and validation read the columns with nothing to invalidate;
+    :attr:`entries` builds read-only :class:`ScheduledLayer` views on demand.
+
     ``instance_predecessors`` optionally maps an instance id to its per-layer
     predecessor index sets (element ``i`` holds the layer indices layer ``i``
     consumes).  Instances present in the map are validated against their true
@@ -132,7 +137,17 @@ class Schedule:
     """
 
     sub_accelerator_names: Tuple[str, ...]
-    entries: List[ScheduledLayer] = field(default_factory=list)
+    # The timeline columns, in commit order (see the class docstring).  They
+    # come first, costs leading: a pickled schedule (pool workers ship theirs
+    # back) then memoises the cost and layer field names early, which keeps
+    # the thousands of back-references to them at the short pickle opcode.
+    _costs: List[LayerCost] = field(default_factory=list, init=False, repr=False)
+    _layers: List[Layer] = field(default_factory=list, init=False, repr=False)
+    _instance_ids: List[str] = field(default_factory=list, init=False, repr=False)
+    _layer_indices: List[int] = field(default_factory=list, init=False, repr=False)
+    _accs: List[int] = field(default_factory=list, init=False, repr=False)
+    _starts: List[float] = field(default_factory=list, init=False, repr=False)
+    _finishes: List[float] = field(default_factory=list, init=False, repr=False)
     clock_hz: float = 1.0e9
     idle_energy_pj_per_cycle_per_pe: float = 0.0
     pes_per_sub_accelerator: Dict[str, int] = field(default_factory=dict)
@@ -146,13 +161,6 @@ class Schedule:
     #: Optional absolute per-instance deadline cycles (release + SLA bound),
     #: attached by the serving simulator; consumed by :meth:`frame_summary`.
     instance_deadline_cycles: Dict[str, float] = field(default_factory=dict)
-    #: Per-sub-accelerator timeline/busy-time memo; rebuilt whenever the entry
-    #: count changes (see :meth:`_sync_caches`).
-    _timeline_cache: Dict[str, List[ScheduledLayer]] = \
-        field(default_factory=dict, init=False, repr=False, compare=False)
-    _busy_cache: Dict[str, float] = \
-        field(default_factory=dict, init=False, repr=False, compare=False)
-    _cache_entry_count: int = field(default=-1, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -168,31 +176,81 @@ class Schedule:
             raise SchedulingError(
                 f"schedule entry for {entry.layer.name!r} finishes before it starts"
             )
-        # Sync first: a direct ``entries`` mutation since the last access must
-        # not be masked by the entry-count update below.
-        self._sync_caches()
-        self.entries.append(entry)
-        self._timeline_cache.pop(entry.sub_accelerator, None)
-        self._busy_cache.pop(entry.sub_accelerator, None)
-        self._cache_entry_count = len(self.entries)
+        self._extend_rows(
+            (entry.layer,), (entry.instance_id,), (entry.layer_index,),
+            (self.sub_accelerator_names.index(entry.sub_accelerator),),
+            (entry.start_cycle,), (entry.finish_cycle,), (entry.cost,))
 
     def extend(self, entries: Iterable[ScheduledLayer]) -> None:
         """Append several execution records."""
         for entry in entries:
             self.add(entry)
 
+    def _extend_rows(self, layers: Iterable[Layer], instance_ids: Iterable[str],
+                     layer_indices: Iterable[int], accs: Iterable[int],
+                     starts: Iterable[float], finishes: Iterable[float],
+                     costs: Iterable[LayerCost]) -> None:
+        """Append rows column-wise; the caller guarantees what :meth:`add` checks."""
+        self._layers.extend(layers)
+        self._instance_ids.extend(instance_ids)
+        self._layer_indices.extend(layer_indices)
+        self._accs.extend(accs)
+        self._starts.extend(starts)
+        self._finishes.extend(finishes)
+        self._costs.extend(costs)
+
+    # ------------------------------------------------------------------
+    # Row views
+    # ------------------------------------------------------------------
+    @property
+    def entries(self) -> Tuple[ScheduledLayer, ...]:
+        """Every execution record in commit order, as read-only views.
+
+        Built on each access from the columns; append through :meth:`add`.
+        """
+        return self._views(range(len(self)))
+
+    def _views(self, rows: Sequence[int]) -> Tuple[ScheduledLayer, ...]:
+        def column(values: List) -> Iterable:
+            return map(values.__getitem__, rows)
+
+        return tuple(map(
+            ScheduledLayer, column(self._layers), column(self._instance_ids),
+            column(self._layer_indices),
+            map(self.sub_accelerator_names.__getitem__, column(self._accs)),
+            column(self._starts), column(self._finishes), column(self._costs)))
+
+    def _label(self, row: int) -> str:
+        """``instance/layer`` of one row, for error messages."""
+        return f"{self._instance_ids[row]}/{self._layers[row].name}"
+
+    def _timeline_rows(self, rows: List[int]) -> List[int]:
+        """``rows`` of one array, sorted in place by (start, finish).
+
+        Two stable sorts, minor key first, order exactly as one sort keyed by
+        the pair would, with full ties left in commit order.
+        """
+        rows.sort(key=self._finishes.__getitem__)
+        rows.sort(key=self._starts.__getitem__)
+        return rows
+
+    def _acc_index(self, sub_accelerator: str) -> int:
+        """Column value of a sub-accelerator name; -1 (matches no row) if unknown."""
+        names = self.sub_accelerator_names
+        return names.index(sub_accelerator) if sub_accelerator in names else -1
+
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._finishes)
 
     @property
     def makespan_cycles(self) -> float:
         """Completion time of the last layer, in cycles."""
-        if not self.entries:
+        if not self._finishes:
             return 0.0
-        return max(entry.finish_cycle for entry in self.entries)
+        return max(self._finishes)
 
     @property
     def makespan_seconds(self) -> float:
@@ -201,13 +259,13 @@ class Schedule:
 
     @property
     def dynamic_energy_pj(self) -> float:
-        """Sum of per-layer energies."""
-        return sum(entry.energy_pj for entry in self.entries)
+        """Sum of per-layer energies, in commit order."""
+        return sum(map(_ENERGY_PJ, self._costs))
 
     @property
     def idle_energy_pj(self) -> float:
         """Static energy of idle PEs across the whole makespan (dark silicon)."""
-        if self.idle_energy_pj_per_cycle_per_pe <= 0.0 or not self.entries:
+        if self.idle_energy_pj_per_cycle_per_pe <= 0.0 or not self._finishes:
             return 0.0
         total = 0.0
         makespan = self.makespan_cycles
@@ -233,49 +291,27 @@ class Schedule:
         """Energy-delay product in joule-seconds."""
         return (self.total_energy_pj * 1e-12) * self.makespan_seconds
 
-    def _sync_caches(self) -> None:
-        """Drop memoised timelines when ``entries`` changed behind our back.
-
-        :meth:`add` invalidates precisely; this length check additionally
-        catches append/remove-style direct ``entries`` mutation.  A same-length
-        in-place replacement is not detectable this way — construct through
-        :meth:`add`/:meth:`extend` (or rebuild the schedule) when editing
-        records.
-        """
-        if self._cache_entry_count != len(self.entries):
-            self._timeline_cache.clear()
-            self._busy_cache.clear()
-            self._cache_entry_count = len(self.entries)
-
     def entries_for(self, sub_accelerator: str) -> List[ScheduledLayer]:
         """Execution records of one sub-accelerator, ordered by start time."""
-        self._sync_caches()
-        timeline = self._timeline_cache.get(sub_accelerator)
-        if timeline is None:
-            timeline = sorted(
-                (entry for entry in self.entries
-                 if entry.sub_accelerator == sub_accelerator),
-                key=lambda entry: (entry.start_cycle, entry.finish_cycle),
-            )
-            self._timeline_cache[sub_accelerator] = timeline
-        return list(timeline)
+        aidx = self._acc_index(sub_accelerator)
+        rows = [row for row, acc in enumerate(self._accs) if acc == aidx]
+        return list(self._views(self._timeline_rows(rows)))
 
     def entries_for_instance(self, instance_id: str) -> List[ScheduledLayer]:
         """Execution records of one model instance, ordered by layer index."""
-        return sorted(
-            (entry for entry in self.entries if entry.instance_id == instance_id),
-            key=lambda entry: entry.layer_index,
-        )
+        rows = [row for row, owner in enumerate(self._instance_ids)
+                if owner == instance_id]
+        rows.sort(key=self._layer_indices.__getitem__)
+        return list(self._views(rows))
 
     def busy_cycles(self, sub_accelerator: str) -> float:
-        """Total cycles the sub-accelerator spends executing layers."""
-        self._sync_caches()
-        busy = self._busy_cache.get(sub_accelerator)
-        if busy is None:
-            busy = sum(entry.duration_cycles for entry in self.entries
-                       if entry.sub_accelerator == sub_accelerator)
-            self._busy_cache[sub_accelerator] = busy
-        return busy
+        """Total cycles the sub-accelerator spends executing layers.
+
+        Sums ``finish - start`` of its rows in commit order.
+        """
+        on_array = list(map(self._acc_index(sub_accelerator).__eq__, self._accs))
+        return sum(map(operator.sub, compress(self._finishes, on_array),
+                       compress(self._starts, on_array)))
 
     def idle_cycles(self, sub_accelerator: str) -> float:
         """Cycles the sub-accelerator is idle before the schedule completes."""
@@ -308,7 +344,7 @@ class Schedule:
         Report/benchmark dumps use this so their dictionaries stay strict-JSON
         serializable (``json.dumps(..., allow_nan=False)``).
         """
-        imbalance = self.load_imbalance() if self.entries else 1.0
+        imbalance = self.load_imbalance() if self._finishes else 1.0
         if math.isinf(imbalance):
             return LOAD_IMBALANCE_UNUSED_SENTINEL
         return imbalance
@@ -326,10 +362,10 @@ class Schedule:
         serving SLAs are written against.
         """
         finishes: Dict[str, float] = {}
-        for entry in self.entries:
-            previous = finishes.get(entry.instance_id)
-            if previous is None or entry.finish_cycle > previous:
-                finishes[entry.instance_id] = entry.finish_cycle
+        for instance_id, finish in zip(self._instance_ids, self._finishes):
+            previous = finishes.get(instance_id)
+            if previous is None or finish > previous:
+                finishes[instance_id] = finish
         releases = self.instance_release_cycles
         return {
             instance_id: {
@@ -394,10 +430,8 @@ class Schedule:
 
     def layer_counts(self) -> Dict[str, int]:
         """Number of layers executed per sub-accelerator."""
-        counts = {name: 0 for name in self.sub_accelerator_names}
-        for entry in self.entries:
-            counts[entry.sub_accelerator] += 1
-        return counts
+        return {name: self._accs.count(aidx)
+                for aidx, name in enumerate(self.sub_accelerator_names)}
 
     # ------------------------------------------------------------------
     # Validation
@@ -420,14 +454,15 @@ class Schedule:
         SchedulingError
             If any constraint is violated.
         """
-        # One grouping pass over the entries feeds the overlap, dependence,
-        # and completeness checks, instead of each check re-scanning the full
-        # entry list: validation is O(entries + instances).
-        by_acc: Dict[str, List[ScheduledLayer]] = defaultdict(list)
-        by_instance: Dict[str, List[ScheduledLayer]] = defaultdict(list)
-        for entry in self.entries:
-            by_acc[entry.sub_accelerator].append(entry)
-            by_instance[entry.instance_id].append(entry)
+        # One grouping pass over the columns feeds the overlap, dependence,
+        # and completeness checks with row numbers, instead of each check
+        # re-scanning every row: validation is O(rows + instances).
+        by_acc: List[List[int]] = [[] for _ in self.sub_accelerator_names]
+        by_instance: Dict[str, List[int]] = defaultdict(list)
+        for row, (acc, instance_id) in enumerate(zip(self._accs,
+                                                     self._instance_ids)):
+            by_acc[acc].append(row)
+            by_instance[instance_id].append(row)
         self._check_no_overlap(by_acc)
         self._check_dependences(by_instance)
         if self.instance_release_cycles:
@@ -435,124 +470,117 @@ class Schedule:
         if expected_layers is not None:
             self._check_completeness(expected_layers, by_instance)
 
-    def _check_no_overlap(self, by_acc: Dict[str, List[ScheduledLayer]]
-                          ) -> None:
+    def _check_no_overlap(self, by_acc: List[List[int]]) -> None:
         """No two layers overlap on one sub-accelerator (per-array rows)."""
-        by_start = operator.attrgetter("start_cycle", "finish_cycle")
-        for name in self.sub_accelerator_names:
-            timeline = by_acc.get(name)
-            if not timeline:
-                continue
-            timeline.sort(key=by_start)
-            previous = timeline[0]
-            for current in timeline[1:]:
-                if current.start_cycle < previous.finish_cycle - 1e-6:
+        starts, finishes = self._starts, self._finishes
+        for name, rows in zip(self.sub_accelerator_names, by_acc):
+            timeline = self._timeline_rows(rows)
+            for previous, current in zip(timeline, timeline[1:]):
+                if starts[current] < finishes[previous] - 1e-6:
                     raise SchedulingError(
-                        f"sub-accelerator {name!r}: {current.instance_id}/"
-                        f"{current.layer.name} starts at {current.start_cycle:.0f} before "
-                        f"{previous.instance_id}/{previous.layer.name} finishes at "
-                        f"{previous.finish_cycle:.0f}"
+                        f"sub-accelerator {name!r}: {self._label(current)} "
+                        f"starts at {starts[current]:.0f} before "
+                        f"{self._label(previous)} finishes at "
+                        f"{finishes[previous]:.0f}"
                     )
-                previous = current
 
-    def _check_dependences(self, by_instance: Dict[str, List[ScheduledLayer]]
-                           ) -> None:
+    def _check_dependences(self, by_instance: Dict[str, List[int]]) -> None:
         """Each layer index runs once, after its producers (per-instance rows)."""
-        by_layer_index = operator.attrgetter("layer_index")
+        layer_indices = self._layer_indices
         for instance_id, chain in by_instance.items():
-            chain.sort(key=by_layer_index)
-            indices = [entry.layer_index for entry in chain]
+            chain.sort(key=layer_indices.__getitem__)
+            indices = [layer_indices[row] for row in chain]
             if len(set(indices)) != len(indices):
                 raise SchedulingError(
                     f"instance {instance_id!r}: a layer index is scheduled more than once"
                 )
             predecessors = self.instance_predecessors.get(instance_id)
             if predecessors is not None:
-                self._validate_dag_dependences(instance_id, chain, predecessors)
+                self._validate_dag_dependences(instance_id, chain, indices,
+                                               predecessors)
             else:
-                self._validate_chain_dependences(instance_id, chain)
+                self._validate_chain_dependences(instance_id, chain, indices)
 
-    def _validate_dag_dependences(self, instance_id: str,
-                                  chain: Sequence[ScheduledLayer],
+    def _validate_dag_dependences(self, instance_id: str, chain: List[int],
+                                  indices: List[int],
                                   predecessors: Sequence[FrozenSet[int]]) -> None:
         """Every layer starts only after each of its true producers finishes."""
+        starts, finishes = self._starts, self._finishes
         # ``chain`` arrives sorted by layer index with duplicates rejected, so
         # when it is exactly the full 0..n-1 range (the fully-scheduled common
         # case) position == layer index and producers resolve by list
         # indexing, skipping the by-index dict entirely.
-        if (len(chain) == len(predecessors) and chain
-                and chain[0].layer_index == 0
-                and chain[-1].layer_index == len(chain) - 1):
-            for entry in chain:
-                start_cycle = entry.start_cycle
-                for producer_index in predecessors[entry.layer_index]:
+        if (len(chain) == len(predecessors) and chain and indices[0] == 0
+                and indices[-1] == len(chain) - 1):
+            for row, producers in zip(chain, predecessors):
+                start = starts[row]
+                for producer_index in producers:
                     producer = chain[producer_index]
-                    if start_cycle < producer.finish_cycle - 1e-6:
-                        raise SchedulingError(
-                            f"instance {instance_id!r}: layer "
-                            f"{entry.layer.name!r} starts at "
-                            f"{entry.start_cycle:.0f} before its producer "
-                            f"{producer.layer.name!r} finishes at "
-                            f"{producer.finish_cycle:.0f}"
-                        )
+                    if start < finishes[producer] - 1e-6:
+                        raise self._producer_error(instance_id, row, producer)
             return
-        by_index = {entry.layer_index: entry for entry in chain}
-        for entry in chain:
-            if not 0 <= entry.layer_index < len(predecessors):
+        by_index = dict(zip(indices, chain))
+        for row, layer_index in zip(chain, indices):
+            if not 0 <= layer_index < len(predecessors):
                 raise SchedulingError(
-                    f"instance {instance_id!r}: layer index {entry.layer_index} is "
+                    f"instance {instance_id!r}: layer index {layer_index} is "
                     f"outside the instance's {len(predecessors)} layers"
                 )
-            for producer_index in predecessors[entry.layer_index]:
+            for producer_index in predecessors[layer_index]:
                 producer = by_index.get(producer_index)
                 if producer is None:
                     raise SchedulingError(
-                        f"instance {instance_id!r}: layer {entry.layer.name!r} is "
-                        f"scheduled but its producer (layer index {producer_index}) "
-                        f"is not"
+                        f"instance {instance_id!r}: layer "
+                        f"{self._layers[row].name!r} is scheduled but its "
+                        f"producer (layer index {producer_index}) is not"
                     )
-                if entry.start_cycle < producer.finish_cycle - 1e-6:
-                    raise SchedulingError(
-                        f"instance {instance_id!r}: layer {entry.layer.name!r} starts "
-                        f"at {entry.start_cycle:.0f} before its producer "
-                        f"{producer.layer.name!r} finishes at "
-                        f"{producer.finish_cycle:.0f}"
-                    )
+                if starts[row] < finishes[producer] - 1e-6:
+                    raise self._producer_error(instance_id, row, producer)
 
-    def _validate_chain_dependences(self, instance_id: str,
-                                    chain: Sequence[ScheduledLayer]) -> None:
+    def _producer_error(self, instance_id: str, row: int,
+                        producer: int) -> SchedulingError:
+        return SchedulingError(
+            f"instance {instance_id!r}: layer {self._layers[row].name!r} "
+            f"starts at {self._starts[row]:.0f} before its producer "
+            f"{self._layers[producer].name!r} finishes at "
+            f"{self._finishes[producer]:.0f}"
+        )
+
+    def _validate_chain_dependences(self, instance_id: str, chain: List[int],
+                                    indices: List[int]) -> None:
         """Degenerate case: no dependence info, require the linear chain."""
-        for previous, current in zip(chain, chain[1:]):
-            if current.layer_index != previous.layer_index + 1:
+        for previous, current, previous_index, current_index in zip(
+                chain, chain[1:], indices, indices[1:]):
+            if current_index != previous_index + 1:
                 raise SchedulingError(
                     f"instance {instance_id!r}: layer indices are not contiguous "
-                    f"({previous.layer_index} followed by {current.layer_index})"
+                    f"({previous_index} followed by {current_index})"
                 )
-            if current.start_cycle < previous.finish_cycle - 1e-6:
+            if self._starts[current] < self._finishes[previous] - 1e-6:
                 raise SchedulingError(
-                    f"instance {instance_id!r}: layer {current.layer.name!r} starts "
-                    f"before its predecessor {previous.layer.name!r} finishes"
+                    f"instance {instance_id!r}: layer "
+                    f"{self._layers[current].name!r} starts before its "
+                    f"predecessor {self._layers[previous].name!r} finishes"
                 )
 
     def _validate_release_times(self) -> None:
         """Online mode: no layer runs before its instance's frame has arrived."""
         releases = self.instance_release_cycles
-        for entry in self.entries:
-            release = releases.get(entry.instance_id)
-            if release is not None and entry.start_cycle < release - 1e-6:
+        for row, (instance_id, start) in enumerate(zip(self._instance_ids,
+                                                       self._starts)):
+            release = releases.get(instance_id)
+            if release is not None and start < release - 1e-6:
                 raise SchedulingError(
-                    f"instance {entry.instance_id!r}: layer {entry.layer.name!r} "
-                    f"starts at {entry.start_cycle:.0f} before the frame's release "
-                    f"at {release:.0f}"
+                    f"instance {instance_id!r}: layer "
+                    f"{self._layers[row].name!r} starts at {start:.0f} before "
+                    f"the frame's release at {release:.0f}"
                 )
 
     def _check_completeness(self, expected_layers: Dict[str, int],
-                            by_instance: Dict[str, List[ScheduledLayer]]
-                            ) -> None:
+                            by_instance: Dict[str, List[int]]) -> None:
         """Every expected instance is fully scheduled, and no other one is."""
         for instance_id, expected in expected_layers.items():
-            chain = by_instance.get(instance_id)
-            actual = len(chain) if chain is not None else 0
+            actual = len(by_instance.get(instance_id, ()))
             if actual != expected:
                 raise SchedulingError(
                     f"instance {instance_id!r}: expected {expected} scheduled layers, "
@@ -579,25 +607,26 @@ class Schedule:
             "latency_s": self.makespan_seconds,
             "energy_mj": self.total_energy_mj,
             "edp_js": self.edp,
-            "num_layers": float(len(self.entries)),
+            "num_layers": float(len(self)),
             "load_imbalance": self.load_imbalance_finite(),
         }
 
     def describe(self, max_entries: int = 20) -> str:
         """Human-readable dump of the first ``max_entries`` execution records."""
         lines = [
-            f"Schedule: {len(self.entries)} layer executions on "
+            f"Schedule: {len(self)} layer executions on "
             f"{len(self.sub_accelerator_names)} sub-accelerator(s)",
             f"  latency {self.makespan_seconds * 1e3:.3f} ms, "
             f"energy {self.total_energy_mj:.2f} mJ, EDP {self.edp:.4g} J*s",
         ]
+        counts = self.layer_counts()
         for name in self.sub_accelerator_names:
             lines.append(
-                f"  {name}: {self.layer_counts()[name]} layers, "
+                f"  {name}: {counts[name]} layers, "
                 f"utilisation {self.utilisation(name):.1%}"
             )
-        ordered = sorted(self.entries, key=lambda entry: entry.start_cycle)
-        for entry in ordered[:max_entries]:
+        ordered = sorted(range(len(self)), key=self._starts.__getitem__)
+        for entry in self._views(ordered[:max_entries]):
             lines.append("  " + entry.describe())
         if len(ordered) > max_entries:
             lines.append(f"  ... {len(ordered) - max_entries} more entries")

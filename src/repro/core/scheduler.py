@@ -28,9 +28,11 @@ layer's position in the visiting order):
   committed, never *where* they run.  The order (and its DRAM-spill violation
   count) is memoised per (workload, ordering, memory limit).
 * :meth:`HeraldScheduler._schedule_slots` makes the per-slot Fig. 8 choices
-  from per-shape preference rows and load fronts, then builds the timeline:
+  from per-design rank columns and load fronts, then builds the timeline:
   the Fig. 9 event-driven list schedule when post-processing is on, a
-  strict-order replay when it is off.
+  strict-order replay when it is off.  The timeline lands in the
+  :class:`~repro.core.schedule.Schedule`'s columns; no per-layer record
+  object is built.
 
 Both steps are DAG-aware: readiness and start times derive from the true
 per-layer predecessor sets the model graphs expose (Sec. III-A's hard
@@ -69,7 +71,7 @@ from repro.maestro.cost import CostModel, LayerCost, metric_value
 from repro.maestro.hardware import SubAcceleratorConfig
 from repro.models.graph import derive_last_consumers, derive_retirements
 from repro.models.layer import Layer
-from repro.core.schedule import Schedule, ScheduledLayer
+from repro.core.schedule import Schedule
 from repro.units import BYTES_PER_ELEMENT
 from repro.workloads.spec import ModelInstance, WorkloadSpec
 
@@ -86,8 +88,11 @@ METRICS = ("edp", "latency", "energy")
 _METRIC_CACHED_ATTR = {"edp": "_edp", "latency": "_latency_s",
                        "energy": "_energy_pj"}
 
-#: Preference-row sort key: (metric value, sub-accelerator name).
-_RANK_ORDER = operator.itemgetter(0, 1)
+#: One design's rankings, rank-major: ``(accs, costs, latencies)``, where
+#: ``accs[r][s]`` is the dense index of shape ``s``'s ``r``-th preferred
+#: sub-accelerator and ``costs[r][s]`` / ``latencies[r][s]`` its cost and
+#: latency in cycles there.
+_RankColumns = Tuple[List[List[int]], List[List[LayerCost]], List[List[float]]]
 
 
 def checked_release_cycles(release_cycles: Optional[Mapping[str, float]],
@@ -230,17 +235,22 @@ class HeraldScheduler:
         self.memory_limit_bytes = memory_limit_bytes
         self.enable_post_processing = enable_post_processing
         self.last_memory_violations = 0
-        #: Per-design ranking memo: sub-accelerator-set key -> {shape: row}.
-        #: Grows lazily (one inner dict per distinct design configuration, one
-        #: row per shape), so re-scheduling on a known design is pure lookups.
-        self._rankings_memo: Dict[Tuple, Dict[Tuple, List[Tuple[float, str,
-                                                                LayerCost,
-                                                                float, int]]]] = {}
+        #: Dense shape ids: shape key -> index into every design's rank
+        #: columns.  Append-only, shared by all workloads this scheduler sees.
+        self._shape_ids: Dict[Tuple, int] = {}
+        #: Per-design ranking memo: design key -> rank-major columns
+        #: ``(accs, costs, latencies)``, each one list per preference rank
+        #: indexed by shape id.  Grows lazily (3 x sub-accelerators lists per
+        #: distinct design configuration), so re-scheduling on a known design
+        #: is pure lookups.
+        self._rankings_memo: Dict[Tuple, _RankColumns] = {}
 
     def __getstate__(self) -> Dict[str, object]:
         # Schedulers ship to pool workers alongside their cost model; the
-        # rankings memo is cheap to rebuild there and would bloat the pickle.
+        # rankings and shape ids are cheap to rebuild there and would bloat
+        # the pickle.
         state = dict(self.__dict__)
+        state["_shape_ids"] = {}
         state["_rankings_memo"] = {}
         return state
 
@@ -297,7 +307,9 @@ class HeraldScheduler:
         candidate designs of a sweep.
 
         Returns parallel per-slot lists ``(layers, instance_ids,
-        layer_indices, shape_keys, unmet0, consumer_slots)`` — where
+        layer_indices, shapes, unmet0, consumer_slots)`` — where ``shapes[p]``
+        is the position of slot ``p``'s shape in
+        :meth:`~repro.workloads.spec.WorkloadSpec.unique_shape_layers` and
         ``consumer_slots[p]`` lists the slots consuming slot ``p``'s output,
         in ascending order — followed by the walk's memory-violation count.
         """
@@ -371,7 +383,9 @@ class HeraldScheduler:
                        for inst, position in order]
         instance_ids = [per_instance[inst][0] for inst, _ in order]
         layer_indices = [position for _, position in order]
-        shape_keys = [layer.shape_key for layer in slot_layers]
+        shape_of = {layer.shape_key: shape for shape, layer
+                    in enumerate(workload.unique_shape_layers())}
+        slot_shapes = [shape_of[layer.shape_key] for layer in slot_layers]
         unmet0 = [len(per_instance[inst][2][position])
                   for inst, position in order]
         consumer_slots: List[List[int]] = [[] for _ in order]
@@ -379,7 +393,7 @@ class HeraldScheduler:
             for producer in per_instance[inst][2][position]:
                 consumer_slots[slot_of[(inst, producer)]].append(slot)
 
-        payload = (slot_layers, instance_ids, layer_indices, shape_keys,
+        payload = (slot_layers, instance_ids, layer_indices, slot_shapes,
                    unmet0, consumer_slots, violations)
         memo[memo_key] = (snapshot, payload)
         return payload
@@ -416,13 +430,13 @@ class HeraldScheduler:
         with no per-layer record objects and no per-design consumer-dict
         rebuild.
         """
-        (slot_layers, instance_ids, layer_indices, shape_keys, unmet0,
+        (slot_layers, instance_ids, layer_indices, slot_shapes, unmet0,
          consumer_slots, violations) = self._static_visit_order(workload)
-        # Preference rows carry the dense sub-accelerator index in their
-        # trailing column, so the passes below never touch accelerator names.
-        rankings = self._shape_rankings(workload, sub_accelerators)
-        names = [acc.name for acc in sub_accelerators]
-        n_accs = len(names)
+        # Rank-major columns indexed by the slots' shape ids: the passes
+        # below read dense sub-accelerator indices and never touch names.
+        acc_ranks, cost_ranks, latency_ranks = self._shape_rankings(
+            workload, sub_accelerators)
+        n_accs = len(sub_accelerators)
         self.last_memory_violations = violations
 
         # --- Pass 1: per-slot sub-accelerator choice (Fig. 8) -------------
@@ -433,7 +447,7 @@ class HeraldScheduler:
         # When the preferred sub-accelerator is far ahead of the others this
         # redirects the layer to the next-preferred one — the paper's "try
         # the second, third, ... best-fit accelerator" step.  One loop
-        # variant per design arity, selected once: the row count equals the
+        # variant per design arity, selected once: the rank count equals the
         # (fixed) sub-accelerator count.  The two- and three-way arms unroll
         # the generic walk decision for decision.
         n = len(slot_layers)
@@ -445,35 +459,37 @@ class HeraldScheduler:
         if lb is None or n_accs == 1:
             # No balancing condition: every layer goes to its preferred
             # sub-accelerator and the load fronts are never consulted.
-            for slot, shape in enumerate(shape_keys):
-                _, _, cost, latency, aidx = rankings[shape][0]
-                slot_acc[slot] = aidx
-                slot_cost[slot] = cost
-                slot_latency[slot] = latency
+            slot_acc[:] = map(acc_ranks[0].__getitem__, slot_shapes)
+            slot_cost[:] = map(cost_ranks[0].__getitem__, slot_shapes)
+            slot_latency[:] = map(latency_ranks[0].__getitem__, slot_shapes)
         elif n_accs == 2:
-            for slot, shape in enumerate(shape_keys):
-                ranked = rankings[shape]
-                _, _, cost0, latency0, aidx0 = ranked[0]
-                _, _, cost1, latency1, aidx1 = ranked[1]
+            accs0, accs1 = acc_ranks
+            latencies0, latencies1 = latency_ranks
+            costs0, costs1 = cost_ranks
+            for slot, shape in enumerate(slot_shapes):
+                aidx0, latency0 = accs0[shape], latencies0[shape]
+                aidx1, latency1 = accs1[shape], latencies1[shape]
                 finish0 = busy[aidx0] + latency0
                 finish1 = busy[aidx1] + latency1
                 bound = lb * (finish0 if finish0 < finish1 else finish1)
                 if finish0 <= bound or finish1 > bound:
                     slot_acc[slot] = aidx0
-                    slot_cost[slot] = cost0
+                    slot_cost[slot] = costs0[shape]
                     slot_latency[slot] = latency0
                     busy[aidx0] = finish0
                 else:
                     slot_acc[slot] = aidx1
-                    slot_cost[slot] = cost1
+                    slot_cost[slot] = costs1[shape]
                     slot_latency[slot] = latency1
                     busy[aidx1] = finish1
         elif n_accs == 3:
-            for slot, shape in enumerate(shape_keys):
-                ranked = rankings[shape]
-                _, _, cost0, latency0, aidx0 = ranked[0]
-                _, _, cost1, latency1, aidx1 = ranked[1]
-                _, _, cost2, latency2, aidx2 = ranked[2]
+            accs0, accs1, accs2 = acc_ranks
+            latencies0, latencies1, latencies2 = latency_ranks
+            costs0, costs1, costs2 = cost_ranks
+            for slot, shape in enumerate(slot_shapes):
+                aidx0, latency0 = accs0[shape], latencies0[shape]
+                aidx1, latency1 = accs1[shape], latencies1[shape]
+                aidx2, latency2 = accs2[shape], latencies2[shape]
                 finish0 = busy[aidx0] + latency0
                 finish1 = busy[aidx1] + latency1
                 finish2 = busy[aidx2] + latency2
@@ -485,41 +501,45 @@ class HeraldScheduler:
                 bound = lb * best_finish
                 if finish1 <= bound < finish0:
                     slot_acc[slot] = aidx1
-                    slot_cost[slot] = cost1
+                    slot_cost[slot] = costs1[shape]
                     slot_latency[slot] = latency1
                     busy[aidx1] = finish1
                 elif finish2 <= bound < finish0:
                     slot_acc[slot] = aidx2
-                    slot_cost[slot] = cost2
+                    slot_cost[slot] = costs2[shape]
                     slot_latency[slot] = latency2
                     busy[aidx2] = finish2
                 else:
                     slot_acc[slot] = aidx0
-                    slot_cost[slot] = cost0
+                    slot_cost[slot] = costs0[shape]
                     slot_latency[slot] = latency0
                     busy[aidx0] = finish0
         else:
-            for slot, shape in enumerate(shape_keys):
-                ranked = rankings[shape]
-                finishes = [busy[row[4]] + row[3] for row in ranked]
+            ranks = list(zip(acc_ranks, cost_ranks, latency_ranks))
+            for slot, shape in enumerate(slot_shapes):
+                finishes = [busy[accs[shape]] + latencies[shape]
+                            for accs, _, latencies in ranks]
                 bound = lb * min(finishes)
-                _, _, cost, latency, aidx = ranked[0]
-                chosen = finishes[0]
-                for finish, row in zip(finishes, ranked):
+                rank = 0
+                for candidate, finish in enumerate(finishes):
                     if finish <= bound:
-                        _, _, cost, latency, aidx = row
-                        chosen = finish
+                        rank = candidate
                         break
+                accs, costs, latencies = ranks[rank]
+                aidx = accs[shape]
                 slot_acc[slot] = aidx
-                slot_cost[slot] = cost
-                slot_latency[slot] = latency
-                busy[aidx] = chosen
+                slot_cost[slot] = costs[shape]
+                slot_latency[slot] = latencies[shape]
+                busy[aidx] = finishes[rank]
 
         # --- Pass 2: the timeline ------------------------------------------
         # ``data_ready[slot]`` starts at the instance's release and is raised
         # by each producer's finish, so it ends as the later of the two.
+        # Commits go straight into the schedule's columns: every row is valid
+        # by construction (an in-range index, finish >= start).
         schedule = self._empty_schedule(sub_accelerators)
-        entries_append = schedule.entries.append
+        starts: List[float] = []
+        finishes: List[float] = []
         if release_cycles:
             released_at = release_cycles.get
             data_ready = [released_at(instance_id, 0.0)
@@ -538,13 +558,14 @@ class HeraldScheduler:
                 if data_ready[slot] > start:
                     start = data_ready[slot]
                 finish = start + slot_latency[slot]
-                entries_append(ScheduledLayer(
-                    slot_layers[slot], instance_ids[slot], layer_indices[slot],
-                    names[aidx], start, finish, slot_cost[slot]))
+                starts.append(start)
+                finishes.append(finish)
                 avail[aidx] = finish
                 for consumer in consumer_slots[slot]:
                     if finish > data_ready[consumer]:
                         data_ready[consumer] = finish
+            schedule._extend_rows(slot_layers, instance_ids, layer_indices,
+                                  slot_acc, starts, finishes, slot_cost)
             return schedule
 
         # Idle-eliminating list schedule (Fig. 9): whenever a sub-accelerator
@@ -570,6 +591,10 @@ class HeraldScheduler:
 
         heappush = heapq.heappush
         heappop = heapq.heappop
+        order: List[int] = []
+        commit = order.append
+        start_at = starts.append
+        finish_at = finishes.append
 
         for slot, blockers in enumerate(unmet):
             if blockers == 0:
@@ -638,11 +663,9 @@ class HeraldScheduler:
             else:
                 _, slot = heappop(future[best_idx])
             finish = start + slot_latency[slot]
-            # Appended directly: every record is valid by construction, and
-            # Schedule._sync_caches rebuilds the timeline memos lazily.
-            entries_append(ScheduledLayer(
-                slot_layers[slot], instance_ids[slot], layer_indices[slot],
-                names[best_idx], start, finish, slot_cost[slot]))
+            commit(slot)
+            start_at(start)
+            finish_at(finish)
             avail[best_idx] = finish
             touched = [best_idx]
             for consumer in consumer_slots[slot]:
@@ -676,55 +699,77 @@ class HeraldScheduler:
                     key = None
                 candidates[idx] = key
             remaining -= 1
+        schedule._extend_rows(
+            map(slot_layers.__getitem__, order),
+            map(instance_ids.__getitem__, order),
+            map(layer_indices.__getitem__, order),
+            map(slot_acc.__getitem__, order), starts, finishes,
+            map(slot_cost.__getitem__, order))
         return schedule
 
     def _shape_rankings(self, workload: WorkloadSpec,
                         sub_accelerators: Sequence[SubAcceleratorConfig]
-                        ) -> Dict[Tuple, List[Tuple[float, str, LayerCost,
-                                                    float, int]]]:
-        """Per-shape sub-accelerator preference rankings, built once per design.
+                        ) -> _RankColumns:
+        """Per-design sub-accelerator preference rankings, as rank columns.
 
         The ranking depends only on the layer *shape* and the (fixed) design,
-        so it is precomputed over the workload's deduped shape set — one
-        batched cost query and one sort per unique shape, shared by all its
-        layer executions.  Rows are ``(metric value, name, cost, latency,
-        sub-accelerator index)`` in preference order (ties broken by name);
-        the trailing dense index is what :meth:`_schedule_slots` reads.
-        Metric values and latencies read the cost's cached scalars (filled
-        from identical expressions in ``LayerCost.__post_init__``), so the
-        rows are bitwise equal to a per-call :func:`metric_value` extraction.
-        Rows are further memoised across :meth:`schedule` calls keyed by the
-        design's named hardware configuration, so repeated scheduling
-        (partition refinement, workload studies on one design) skips even the
-        per-shape lookups.
+        so it is computed over the workload's deduped shape set — one batched
+        cost query, and per shape one sort of the sub-accelerators by
+        ``(metric value, name)``.  Metric values and latencies read the
+        cost's cached scalars (filled from identical expressions in
+        ``LayerCost.__post_init__``), so the ranking is bitwise equal to a
+        per-call :func:`metric_value` extraction.
+
+        The columns are memoised across :meth:`schedule` calls per design
+        configuration, indexed by the scheduler's dense shape ids, so
+        re-scheduling on a known design (partition refinement, serving many
+        workloads on one design) skips the cost lookups.  The result is
+        gathered into ``workload.unique_shape_layers()`` order, the order
+        the slots' shape ids index (see :data:`_RankColumns`).
         """
         hardware_key = self.cost_model.hardware_key
         design_key = (self.metric,) + tuple((acc.name,) + hardware_key(acc)
                                             for acc in sub_accelerators)
-        rankings = self._rankings_memo.setdefault(design_key, {})
-        representatives = [layer for layer in workload.unique_shape_layers()
-                           if layer.shape_key not in rankings]
-        if not representatives:
-            return rankings
-        table = self.cost_model.batch_layer_costs(representatives,
-                                                  sub_accelerators)
-        names = [acc.name for acc in sub_accelerators]
-        attr = _METRIC_CACHED_ATTR.get(self.metric)
-        if attr is not None:
-            metric_of = operator.attrgetter(attr)
-        else:
-            metric = self.metric
-            metric_of = lambda cost: metric_value(cost, metric)  # noqa: E731
-        for layer in representatives:
-            shape = layer.shape_key
-            ranked = []
-            for idx, name in enumerate(names):
-                cost = table[(shape, name)]
-                ranked.append((metric_of(cost), name, cost,
-                               cost._latency_cycles, idx))
-            ranked.sort(key=_RANK_ORDER)
-            rankings[shape] = ranked
-        return rankings
+        n_accs = len(sub_accelerators)
+        columns = self._rankings_memo.get(design_key)
+        if columns is None:
+            columns = self._rankings_memo[design_key] = tuple(
+                [[] for _ in range(n_accs)] for _ in range(3))
+        shape_ids = self._shape_ids
+        unique = workload.unique_shape_layers()
+        ids = [shape_ids.setdefault(layer.shape_key, len(shape_ids))
+               for layer in unique]
+        filled = columns[1][0]  # rank-0 costs, None where not yet ranked
+        missing = [(shape_id, layer) for shape_id, layer in zip(ids, unique)
+                   if shape_id >= len(filled) or filled[shape_id] is None]
+        if missing:
+            table = self.cost_model.batch_layer_costs(
+                [layer for _, layer in missing], sub_accelerators)
+            names = [acc.name for acc in sub_accelerators]
+            attr = _METRIC_CACHED_ATTR.get(self.metric)
+            if attr is not None:
+                metric_of = operator.attrgetter(attr)
+            else:
+                metric = self.metric
+                metric_of = lambda cost: metric_value(cost, metric)  # noqa: E731
+            for ranks in columns:
+                for rank in ranks:
+                    rank.extend([None] * (len(shape_ids) - len(rank)))
+            for shape_id, layer in missing:
+                shape = layer.shape_key
+                ranked = []
+                for idx, name in enumerate(names):
+                    cost = table[(shape, name)]
+                    # ``idx`` is unique, so the sort never compares costs.
+                    ranked.append((metric_of(cost), name, idx, cost))
+                ranked.sort()
+                for accs, costs, latencies, (_, _, idx, cost) in zip(
+                        *columns, ranked):
+                    accs[shape_id] = idx
+                    costs[shape_id] = cost
+                    latencies[shape_id] = cost._latency_cycles
+        return tuple([list(map(rank.__getitem__, ids)) for rank in ranks]
+                     for ranks in columns)
 
     def _empty_schedule(self, sub_accelerators: Sequence[SubAcceleratorConfig]) -> Schedule:
         return Schedule(

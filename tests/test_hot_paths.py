@@ -22,6 +22,7 @@ Two contracts are pinned here:
 
 from __future__ import annotations
 
+import gc
 import pickle
 
 import pytest
@@ -31,7 +32,9 @@ import golden_scheduler
 import reference_scheduler
 from repro.accel.builders import enumerate_fdas
 from repro.accel.classes import ACCELERATOR_CLASSES
+from repro.core.dse import HeraldDSE
 from repro.core.partitioner import PartitionSearch
+from repro.core.schedule import ScheduledLayer
 from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.mapping import (build_mapping, clear_mapping_cache,
                                     mapping_cache_info)
@@ -550,3 +553,92 @@ class TestSharedPoolTable:
         assert model.cache_size() == size_before
         serial = SerialBackend().run(tasks)
         assert _result_summaries(results) == _result_summaries(serial)
+
+
+# ---------------------------------------------------------------------------
+# Allocation-lean sweeps: what a cold explore leaves alive
+# ---------------------------------------------------------------------------
+
+def _containers_reachable(root):
+    """Lists, tuples and dicts reachable from ``root`` through containers."""
+    seen = set()
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or not isinstance(item, (list, tuple, dict)):
+            continue
+        seen.add(id(item))
+        stack.extend(item.values() if isinstance(item, dict) else item)
+    return len(seen)
+
+
+def _scheduled_layers_alive():
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, ScheduledLayer))
+
+
+class TestAllocationLeanSweep:
+    """Counts, not times: the same on every machine.
+
+    A design-space sweep keeps one schedule per candidate design, so a
+    per-layer-execution object or a per-shape ranking row retained per
+    design multiplies into the hundred thousand GC-tracked objects that
+    cyclic collection then keeps re-scanning.
+    """
+
+    @pytest.fixture(scope="class")
+    def explored(self):
+        clear_all_memos()
+        cost_model = CostModel()
+        scheduler = HeraldScheduler(cost_model)
+        search = PartitionSearch(cost_model=cost_model, scheduler=scheduler,
+                                 pe_steps=8, bw_steps=4)
+        dse = HeraldDSE(cost_model=cost_model, scheduler=scheduler,
+                        partition_search=search)
+        workload = arvr_a()
+        gc.collect()
+        before = _scheduled_layers_alive()
+        result = dse.explore(workload, ACCELERATOR_CLASSES["edge"],
+                             include_three_way=False)
+        gc.collect()
+        return result, scheduler, workload, before
+
+    def test_no_scheduled_layer_outlives_the_explore(self, explored):
+        result, _, _, before = explored
+        # The result, and with it every point's schedule, is still held.
+        assert len(result.points) > 10
+        assert all(len(point.result.schedule) > 0 for point in result.points)
+        assert _scheduled_layers_alive() == before
+
+    def test_rankings_memo_is_per_sub_accelerator_not_per_shape(self, explored):
+        _, scheduler, workload, _ = explored
+        shapes = len(workload.unique_shape_layers())
+        assert scheduler._rankings_memo
+        for design_key, columns in scheduler._rankings_memo.items():
+            n_accs = len(design_key) - 1
+            bound = 4 * n_accs + 4
+            # The bound is meaningful: it is well below one row per shape.
+            assert bound < shapes
+            assert _containers_reachable(columns) <= bound
+
+    def test_pickled_scheduler_ships_no_rankings(self, explored):
+        result, scheduler, workload, _ = explored
+        clone = pickle.loads(pickle.dumps(scheduler))
+        assert clone._rankings_memo == {}
+        assert clone._shape_ids == {}
+        accs = result.best("hda").design.sub_accelerators
+        assert clone.schedule(workload, accs) == \
+            scheduler.schedule(workload, accs)
+
+    def test_shared_scheduler_matches_a_fresh_one_on_reordered_shapes(
+            self, explored):
+        # Another shape order than the one the shape ids were assigned in:
+        # the memoised rank columns must be gathered, not read in place.
+        result, scheduler, workload, _ = explored
+        reordered = WorkloadSpec(name="reordered",
+                                 entries=list(reversed(workload.entries)))
+        assert [layer.shape_key for layer in reordered.unique_shape_layers()] \
+            != [layer.shape_key for layer in workload.unique_shape_layers()]
+        for category in ("fda", "hda"):
+            accs = result.best(category).design.sub_accelerators
+            assert scheduler.schedule(reordered, accs) == \
+                HeraldScheduler(CostModel()).schedule(reordered, accs)

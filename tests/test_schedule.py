@@ -1,6 +1,7 @@
 """Tests for the schedule data structures, accounting, and validation."""
 
 import json
+import re
 
 import pytest
 
@@ -56,6 +57,16 @@ class TestConstruction:
         schedule.extend([_entry("l0", "m#0", 0, "a0", 0, 100),
                          _entry("l1", "m#0", 1, "a1", 100, 150)])
         assert len(schedule) == 2
+
+    def test_entries_round_trip_through_add(self):
+        schedule = _empty_schedule()
+        schedule.add(_entry("l0", "m#0", 0, "a1", 0, 100))
+        schedule.add(_entry("l1", "m#0", 1, "a0", 100, 250))
+        clone = _empty_schedule()
+        clone.extend(schedule.entries)
+        assert clone == schedule
+        assert clone.entries == schedule.entries
+        assert [entry.sub_accelerator for entry in clone.entries] == ["a1", "a0"]
 
 
 class TestAccounting:
@@ -143,19 +154,23 @@ class TestAccounting:
     def test_timeline_cache_survives_direct_entries_mutation(self):
         schedule = self._populated()
         assert schedule.busy_cycles("a0") == 100
-        # Appending to .entries directly (bypassing add) must not serve stale
-        # accounting.
-        schedule.entries.append(_entry("x", "m#0", 2, "a0", 300, 450))
-        assert schedule.busy_cycles("a0") == 250
+        # Rows are stored column-wise and .entries is a read-only view: an
+        # append that bypasses add() raises instead of going unaccounted.
+        with pytest.raises(AttributeError):
+            schedule.entries.append(_entry("x", "m#0", 2, "a0", 300, 450))
+        assert len(schedule) == 3
+        assert schedule.busy_cycles("a0") == 100
 
     def test_add_after_direct_mutation_does_not_mask_invalidation(self):
         schedule = self._populated()
         assert schedule.busy_cycles("a0") == 100
-        # Direct append on a0, then add() on a1: the a0 figures must still be
-        # refreshed even though add() only invalidates a1 itself.
-        schedule.entries.append(_entry("x", "m#0", 2, "a0", 300, 450))
+        # A refused direct append on a0, then add() on a1: both arrays'
+        # figures reflect exactly the rows that went through add().
+        with pytest.raises(AttributeError):
+            schedule.entries.append(_entry("x", "m#0", 2, "a0", 300, 450))
         schedule.add(_entry("y", "n#0", 1, "a1", 300, 360))
-        assert schedule.busy_cycles("a0") == 250
+        assert len(schedule) == 4
+        assert schedule.busy_cycles("a0") == 100
         assert schedule.busy_cycles("a1") == 260
 
     def test_entries_for_returns_independent_list(self):
@@ -165,7 +180,14 @@ class TestAccounting:
         assert len(schedule.entries_for("a1")) == 2
 
 
+def _rejected(schedule, message, expected_layers=None):
+    with pytest.raises(SchedulingError, match=f"^{re.escape(message)}$"):
+        schedule.validate(expected_layers=expected_layers)
+
+
 class TestValidation:
+    """Every ``SchedulingError`` branch of ``validate``, with its message."""
+
     def test_valid_schedule_passes(self):
         schedule = _empty_schedule()
         schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
@@ -176,41 +198,100 @@ class TestValidation:
         schedule = _empty_schedule()
         schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
         schedule.add(_entry("l0", "n#0", 0, "a0", 50, 150))
-        with pytest.raises(SchedulingError):
-            schedule.validate()
+        _rejected(schedule, "sub-accelerator 'a0': n#0/l0 starts at 50 before "
+                            "m#0/l0 finishes at 100")
+
+    def test_overlap_is_found_whatever_the_commit_order(self):
+        schedule = _empty_schedule()
+        schedule.add(_entry("l0", "n#0", 0, "a1", 120, 200))
+        schedule.add(_entry("l0", "m#0", 0, "a1", 0, 150))
+        _rejected(schedule, "sub-accelerator 'a1': n#0/l0 starts at 120 before "
+                            "m#0/l0 finishes at 150")
+
+    def test_zero_length_layer_at_a_neighbours_start_is_no_overlap(self):
+        # Ordered by (start, finish), the zero-length layer comes first.
+        schedule = _empty_schedule()
+        schedule.add(_entry("l0", "m#0", 0, "a0", 100, 200))
+        schedule.add(_entry("l0", "n#0", 0, "a0", 100, 100))
+        schedule.validate()
 
     def test_dependence_violation_rejected(self):
         schedule = _empty_schedule()
         schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
         schedule.add(_entry("l1", "m#0", 1, "a1", 50, 150))
-        with pytest.raises(SchedulingError):
-            schedule.validate()
+        _rejected(schedule, "instance 'm#0': layer 'l1' starts before its "
+                            "predecessor 'l0' finishes")
 
     def test_duplicate_layer_index_rejected(self):
         schedule = _empty_schedule()
         schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
         schedule.add(_entry("l0b", "m#0", 0, "a1", 100, 200))
-        with pytest.raises(SchedulingError):
-            schedule.validate()
+        _rejected(schedule,
+                  "instance 'm#0': a layer index is scheduled more than once")
 
     def test_non_contiguous_indices_rejected(self):
         schedule = _empty_schedule()
         schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
         schedule.add(_entry("l2", "m#0", 2, "a0", 100, 200))
-        with pytest.raises(SchedulingError):
-            schedule.validate()
+        _rejected(schedule, "instance 'm#0': layer indices are not contiguous "
+                            "(0 followed by 2)")
+
+    def test_producer_not_scheduled_rejected(self):
+        schedule = _empty_schedule()
+        schedule.instance_predecessors = {"m#0": (frozenset(), frozenset({0}))}
+        schedule.add(_entry("l1", "m#0", 1, "a0", 0, 100))
+        _rejected(schedule, "instance 'm#0': layer 'l1' is scheduled but its "
+                            "producer (layer index 0) is not")
+
+    def test_layer_index_out_of_range_rejected(self):
+        schedule = _empty_schedule()
+        schedule.instance_predecessors = {"m#0": (frozenset(),)}
+        schedule.add(_entry("l3", "m#0", 3, "a0", 0, 100))
+        _rejected(schedule, "instance 'm#0': layer index 3 is outside the "
+                            "instance's 1 layers")
+
+    def test_start_before_producer_of_full_instance_rejected(self):
+        schedule = _empty_schedule()
+        schedule.instance_predecessors = {"m#0": (frozenset(), frozenset({0}))}
+        schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
+        schedule.add(_entry("l1", "m#0", 1, "a1", 50, 150))
+        _rejected(schedule, "instance 'm#0': layer 'l1' starts at 50 before its "
+                            "producer 'l0' finishes at 100")
+
+    def test_start_before_producer_of_partial_instance_rejected(self):
+        schedule = _empty_schedule()
+        schedule.instance_predecessors = {
+            "m#0": (frozenset(), frozenset({0}), frozenset({1}))}
+        schedule.add(_entry("l1", "m#0", 1, "a1", 50, 150))
+        schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
+        _rejected(schedule, "instance 'm#0': layer 'l1' starts at 50 before its "
+                            "producer 'l0' finishes at 100")
+
+    def test_start_before_release_rejected(self):
+        schedule = _empty_schedule()
+        schedule.instance_release_cycles = {"m#0": 500.0}
+        schedule.add(_entry("l0", "m#0", 0, "a0", 100, 200))
+        _rejected(schedule, "instance 'm#0': layer 'l0' starts at 100 before "
+                            "the frame's release at 500")
 
     def test_missing_layers_detected(self):
         schedule = _empty_schedule()
         schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
-        with pytest.raises(SchedulingError):
-            schedule.validate(expected_layers={"m#0": 2})
+        _rejected(schedule, "instance 'm#0': expected 2 scheduled layers, "
+                            "found 1", expected_layers={"m#0": 2})
 
     def test_unknown_instance_detected(self):
         schedule = _empty_schedule()
         schedule.add(_entry("l0", "ghost#0", 0, "a0", 0, 100))
-        with pytest.raises(SchedulingError):
-            schedule.validate(expected_layers={"m#0": 1})
+        _rejected(schedule, "instance 'm#0': expected 1 scheduled layers, "
+                            "found 0", expected_layers={"m#0": 1})
+
+    def test_unexpected_instance_rejected(self):
+        schedule = _empty_schedule()
+        schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
+        schedule.add(_entry("l0", "ghost#0", 0, "a1", 0, 100))
+        _rejected(schedule, "schedule contains unknown instances: ['ghost#0']",
+                  expected_layers={"m#0": 1})
 
     def test_parallel_execution_on_different_sub_accelerators_allowed(self):
         schedule = _empty_schedule()

@@ -255,7 +255,7 @@ class TestOnlineScheduling:
         schedule.instance_predecessors = {"m#0": (frozenset(),)}
         schedule.instance_release_cycles = {"m#0": 500.0}
         from repro.core.schedule import ScheduledLayer
-        schedule.entries.append(ScheduledLayer(
+        schedule.add(ScheduledLayer(
             layer=layer, instance_id="m#0", layer_index=0,
             sub_accelerator=accs[0].name, start_cycle=100.0,
             finish_cycle=100.0 + cost.latency_cycles, cost=cost))
